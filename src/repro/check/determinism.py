@@ -6,8 +6,8 @@ rules ban the ways ambient state usually leaks in:
 
 * ``no-wallclock`` — ``time.time()``/``perf_counter()``/``monotonic()``
   and datetime "now" reads.  Wall-clock belongs in the host-side
-  profiling layers (:mod:`repro.obs.spans`, :mod:`repro.obs.bench`,
-  :mod:`repro.obs.telemetry`), never in cycle accounting.
+  profiling layers (:mod:`repro.obs.spans`, :mod:`repro.obs.telemetry`),
+  never in cycle accounting.
 * ``no-unseeded-random`` — RNG constructors without an explicit seed
   and the module-level ``random.*``/``numpy.random.*`` convenience
   functions (which draw from hidden global state).
@@ -98,12 +98,11 @@ class NoWallClockRule(Rule):
     id = "no-wallclock"
     description = (
         "wall-clock reads in simulation/observability code (allowed only "
-        "in repro.obs.spans, repro.obs.bench and repro.obs.telemetry)"
+        "in repro.obs.spans and repro.obs.telemetry)"
     )
     include = SIM_SCOPE + ("repro/obs/",)
     exclude = (
         "repro/obs/spans.py",
-        "repro/obs/bench.py",
         # The serve-path telemetry layer *is* the wall-clock layer:
         # request latency, ring timestamps, worker-side spans.
         "repro/obs/telemetry.py",

@@ -22,11 +22,11 @@ Events
     * every consumed event name must exist in the schema.
 
 Metrics
-    * every metric name a consumer reads (``counters.get("...")`` or a
-      ``KEY_COUNTERS`` table) must be produced by some
-      ``MetricsRegistry`` ``counter``/``gauge``/``histogram`` call
-      site.  Dynamic producer names (f-strings like
-      ``f"vpu_ops_{kind}"``) count as prefix wildcards.  The converse
+    * every metric name a consumer reads (``counters.get("...")``)
+      must be produced by some ``MetricsRegistry``
+      ``counter``/``gauge``/``histogram`` call site.  Dynamic producer
+      names (f-strings like ``f"vpu_ops_{kind}"``) count as prefix
+      wildcards.  The converse
       (produced-but-unconsumed) is *not* an error: every metric is
       exported wholesale via ``--metrics`` and ``/metrics``.
 
@@ -47,25 +47,17 @@ Sweep store
       file must name a ``QUERY_FIELDS`` entry.
 
 Request log
-    The serve-path telemetry contract (PR 8) has the same shape again:
-    the request-log schema (``REQUEST_EVENT_FIELDS`` /
-    ``REQLOG_COMMON_FIELDS`` / ``LATENCY_PHASES`` in
-    :mod:`repro.obs.telemetry`), the ``log_event`` emit sites spread
-    across the service, the HTTP handler and the sampler, and the
-    offline consumer tables (``REQLOG_CONSUMED_EVENTS`` /
-    ``REPORT_LATENCY_PHASES`` in :mod:`repro.obs.servereport`).
-    Cross-checked in both directions:
+    The serve-path request-log schema (``REQUEST_EVENT_FIELDS`` /
+    ``REQLOG_COMMON_FIELDS`` in :mod:`repro.obs.telemetry`) against the
+    ``log_event`` emit sites spread across the service, the HTTP
+    handler and the sampler.  The offline consumer
+    (:mod:`repro.obs.servereport`) imports the schema tables rather
+    than copying them, so only the producer side needs checking:
 
     * every ``log_event("...")`` site names a schema event, passes the
       event's required fields as keywords (unless it splats
       ``**kwargs``) and never overrides the stamped common fields;
-    * every schema event is logged somewhere *and* has a
-      ``REQLOG_CONSUMED_EVENTS`` entry whose field tuple matches the
-      schema exactly — serve-report silently dropping an event is
-      drift too;
-    * ``REPORT_LATENCY_PHASES`` and ``LATENCY_PHASES`` must be equal:
-      a phase only one side knows about either never renders or can
-      never carry a ``serve.latency.<phase>.*`` gauge.
+    * every schema event is logged somewhere.
 
 Resolution is deliberately shallow: event-name arguments may be string
 constants, conditional expressions over string constants, or local
@@ -102,9 +94,6 @@ __all__ = ["SchemaDriftRule"]
 
 #: Module-level dict tables whose keys are consumed event names.
 CONSUMER_TABLES = ("_WINDOW_FIELD", "_EVENT_TID")
-
-#: Module-level tuple/list tables whose items are consumed metric names.
-METRIC_TABLES = ("KEY_COUNTERS",)
 
 #: Receiver names whose ``.get("...")`` reads a trace-event count.
 _EVENT_COUNT_RECEIVERS = ("event_counts", "counts")
@@ -191,18 +180,6 @@ class TelemetryTablesFact:
     event_fields: dict[str, tuple[str, ...]]
     key_lines: dict[str, int]
     common: tuple[str, ...]
-    phases: tuple[str, ...]
-    phases_line: int
-
-
-@dataclass
-class ReqlogConsumerFact:
-    """``REQLOG_CONSUMED_EVENTS`` / ``REPORT_LATENCY_PHASES`` tables."""
-
-    consumed: dict[str, tuple[str, ...]]
-    key_lines: dict[str, int]
-    report_phases: tuple[str, ...]
-    report_line: int
 
 
 @dataclass
@@ -228,7 +205,6 @@ class SchemaDriftFacts:
     produced_prefixes: tuple[str, ...] = ()
     consumed_metrics: list[tuple[Loc, str]] = field(default_factory=list)
     telemetry: Optional[TelemetryTablesFact] = None
-    reqlog: Optional[ReqlogConsumerFact] = None
     store: Optional[StoreSchemaFact] = None
     segment_reads: list[tuple[Loc, str]] = field(default_factory=list)
     row_reads: list[tuple[Loc, str]] = field(default_factory=list)
@@ -244,7 +220,6 @@ class SchemaDriftFacts:
                 self.produced_prefixes,
                 self.consumed_metrics,
                 self.telemetry,
-                self.reqlog,
                 self.store,
                 self.segment_reads,
                 self.row_reads,
@@ -375,8 +350,6 @@ def _find_telemetry_tables(tree: ast.Module) -> Optional[TelemetryTablesFact]:
     event_fields: dict[str, tuple[str, ...]] = {}
     key_lines: dict[str, int] = {}
     common: tuple[str, ...] = ()
-    phases: tuple[str, ...] = ()
-    phases_line = 0
     found = False
     for node in tree.body:
         name, value = _module_assign(node)
@@ -387,43 +360,10 @@ def _find_telemetry_tables(tree: ast.Module) -> Optional[TelemetryTablesFact]:
             event_fields, key_lines = _dict_fields(value, node.lineno)
         elif name == "REQLOG_COMMON_FIELDS":
             common = _tuple_strings(value)
-        elif name == "LATENCY_PHASES":
-            phases = _tuple_strings(value)
-            phases_line = node.lineno
     if not found:
         return None
     return TelemetryTablesFact(
-        event_fields=event_fields,
-        key_lines=key_lines,
-        common=common,
-        phases=phases,
-        phases_line=phases_line,
-    )
-
-
-def _find_reqlog_consumers(tree: ast.Module) -> Optional[ReqlogConsumerFact]:
-    consumed: dict[str, tuple[str, ...]] = {}
-    key_lines: dict[str, int] = {}
-    report_phases: tuple[str, ...] = ()
-    report_line = 0
-    found = False
-    for node in tree.body:
-        name, value = _module_assign(node)
-        if name is None or value is None:
-            continue
-        if name == "REQLOG_CONSUMED_EVENTS" and isinstance(value, ast.Dict):
-            found = True
-            consumed, key_lines = _dict_fields(value, node.lineno)
-        elif name == "REPORT_LATENCY_PHASES":
-            report_phases = _tuple_strings(value)
-            report_line = node.lineno
-    if not found:
-        return None
-    return ReqlogConsumerFact(
-        consumed=consumed,
-        key_lines=key_lines,
-        report_phases=report_phases,
-        report_line=report_line,
+        event_fields=event_fields, key_lines=key_lines, common=common
     )
 
 
@@ -540,23 +480,16 @@ def _produced_metrics(tree: ast.Module) -> tuple[tuple[str, ...], tuple[str, ...
 def _consumed_metrics(tree: ast.Module) -> list[tuple[Loc, str]]:
     consumed: list[tuple[Loc, str]] = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "get"
-                and _receiver_name(node.func) in _METRIC_RECEIVERS
-                and node.args
-            ):
-                name = _const_str(node.args[0])
-                if name is not None:
-                    consumed.append((_loc(node), name))
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id in METRIC_TABLES:
-                    for item in getattr(node.value, "elts", ()):
-                        name = _const_str(item)
-                        if name is not None:
-                            consumed.append((_loc(item), name))
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+            and _receiver_name(node.func) in _METRIC_RECEIVERS
+            and node.args
+        ):
+            name = _const_str(node.args[0])
+            if name is not None:
+                consumed.append((_loc(node), name))
     return consumed
 
 
@@ -638,7 +571,6 @@ class SchemaDriftRule(FactRule):
             produced_prefixes=prefixes,
             consumed_metrics=_consumed_metrics(checked.tree),
             telemetry=_find_telemetry_tables(checked.tree),
-            reqlog=_find_reqlog_consumers(checked.tree),
             store=_find_store_schema(checked.tree),
             segment_reads=segment_reads,
             row_reads=row_reads,
@@ -810,55 +742,6 @@ class SchemaDriftRule(FactRule):
                     f"request-log schema event {event!r} is never "
                     "logged by any log_event site; dead schema entries "
                     "hide drift — remove it or emit it",
-                )
-
-        consumer_rel, consumer = _first(facts, "reqlog")
-        if consumer_rel is None or not isinstance(consumer, ReqlogConsumerFact):
-            return  # no serve-report in this file set
-
-        for event in sorted(consumer.consumed):
-            if event not in tables.event_fields:
-                yield self.diag_at(
-                    consumer_rel,
-                    Loc(lineno=consumer.key_lines.get(event, 0)),
-                    f"REQLOG_CONSUMED_EVENTS entry {event!r} is not in "
-                    "the request-log schema (REQUEST_EVENT_FIELDS); "
-                    "nothing can ever produce it",
-                )
-            elif consumer.consumed[event] != tables.event_fields[event]:
-                yield self.diag_at(
-                    consumer_rel,
-                    Loc(lineno=consumer.key_lines.get(event, 0)),
-                    f"REQLOG_CONSUMED_EVENTS[{event!r}] lists fields "
-                    f"{consumer.consumed[event]} but the schema requires "
-                    f"{tables.event_fields[event]}",
-                )
-        for event in sorted(set(tables.event_fields) - set(consumer.consumed)):
-            yield self.diag_at(
-                schema_rel,
-                Loc(lineno=tables.key_lines.get(event, 0)),
-                f"request-log schema event {event!r} is missing from "
-                "REQLOG_CONSUMED_EVENTS; serve-report would silently "
-                "drop it",
-            )
-
-        for phase in consumer.report_phases:
-            if phase not in tables.phases:
-                yield self.diag_at(
-                    consumer_rel,
-                    Loc(lineno=consumer.report_line),
-                    f"REPORT_LATENCY_PHASES entry {phase!r} is not in "
-                    "LATENCY_PHASES; no serve.latency gauge or phase "
-                    "span can ever carry it",
-                )
-        for phase in tables.phases:
-            if phase not in consumer.report_phases:
-                yield self.diag_at(
-                    schema_rel,
-                    Loc(lineno=tables.phases_line),
-                    f"latency phase {phase!r} is missing from "
-                    "REPORT_LATENCY_PHASES; serve-report would never "
-                    "render its percentiles",
                 )
 
     # -- sweep store ------------------------------------------------------

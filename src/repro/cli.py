@@ -1,9 +1,8 @@
 """Command-line entry point: ``python -m repro <experiment>``.
 
-Besides the experiment runners, two observability subcommands live
-here — ``python -m repro bench`` (the performance ledger, see
-:mod:`repro.obs.bench`) and ``python -m repro trace-report FILE``
-(offline trace analytics, see :mod:`repro.obs.analyze`) — plus the
+Besides the experiment runners, the observability subcommand
+``python -m repro trace-report FILE`` (offline trace analytics, see
+:mod:`repro.obs.analyze`) lives here, plus the
 serving layer (see :mod:`repro.serve`): ``python -m repro serve``,
 ``... submit``, ``... store {stats,gc}`` and ``... loadgen`` /
 ``... serve-report`` (load generation + request-log analytics, see
@@ -39,8 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         help=(
             "experiment id (e.g. fig15, table2), 'list' / 'all', or a "
-            "subcommand: 'bench' (performance ledger), "
-            "'trace-report FILE' (trace analytics), 'serve-report REQLOG' (serve telemetry analytics), 'serve' (simulation "
+            "subcommand: 'trace-report FILE' (trace analytics), 'serve-report REQLOG' (serve telemetry analytics), 'serve' (simulation "
             "service), 'submit' (client round-trip), 'store' "
             "(result-store stats/gc), 'check' (static analysis), "
             "'fastsim-calibrate' (fast-tier calibration), 'loadgen' (traffic-replay load generator), 'sweep' "
@@ -152,10 +150,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
     # Subcommands take their own options, so they dispatch before the
     # experiment parser sees (and rejects) those flags.
-    if raw and raw[0] == "bench":
-        from repro.obs.bench import bench_main
-
-        return bench_main(raw[1:])
     if raw and raw[0] == "trace-report":
         from repro.obs.analyze import trace_report_main
 

@@ -51,7 +51,7 @@ def compare_mechanisms(
     seed: int = 0,
     executor: Optional[SimExecutor] = None,
     store_root: Optional[Union[str, Path]] = None,
-    store_overwrite: bool = False,
+    overwrite: bool = False,
 ) -> dict[str, Any]:
     """Sweep every mechanism over the shared grid; one executor batch.
 
@@ -60,7 +60,8 @@ def compare_mechanisms(
     each mechanism's raw point times are appended to the columnar sweep
     store under its own mechanism-tagged fingerprint (metric
     ``time_ns``), so ``repro query --group-by mechanism`` can aggregate
-    the comparison later without rerunning it.
+    the comparison later without rerunning it; ``overwrite`` replaces
+    stored sweeps of the same identity.
     """
     spec = get_kernel(kernel)
     if not mechanisms:
@@ -113,7 +114,7 @@ def compare_mechanisms(
     if store_root is not None:
         _record_comparison(
             store_root, spec, machine, mechanisms, points, times,
-            k_steps, seed, store_overwrite,
+            k_steps, seed, overwrite,
         )
     sample = config(0.0, 0.0)
     return {

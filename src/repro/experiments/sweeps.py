@@ -8,7 +8,6 @@ machine configurations and reports speedups over the paper's baseline
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 from collections.abc import Sequence
 
@@ -72,8 +71,6 @@ def sweep_kernel(
     executor: Optional[SimExecutor] = None,
     engine: str = "exact",
     mechanism: str = "save",
-    store_root: Optional[Path] = None,
-    store_overwrite: bool = False,
 ) -> dict[str, SweepResult]:
     """Sweep one kernel over the sparsity grid under each machine.
 
@@ -90,11 +87,6 @@ def sweep_kernel(
     sweep's speedup dicts are identical to a serial one's.  ``engine``
     selects the tier for every point, baseline included, so speedup
     ratios never mix tiers.
-
-    With ``store_root`` set, each machine's raw point times are also
-    appended to the columnar sweep store (one fingerprint-keyed sweep
-    per machine, metric ``time_ns``) so results stay queryable via
-    ``repro query`` after the figures are gone.
     """
     jobs: list[PointJob] = [
         PointJob(
@@ -137,45 +129,4 @@ def sweep_kernel(
                 time = point_times[m_index * len(points) + p_index]
                 speedups[(round(bs, 2), round(nbs, 2))] = base_time / time
             results[label] = SweepResult(label, speedups)
-    if store_root is not None:
-        _record_sweep(
-            store_root, spec, machines, points, point_times,
-            precision, k_steps, seed, engine, mechanism, store_overwrite,
-        )
     return results
-
-
-def _record_sweep(
-    store_root: Path,
-    spec: KernelSpec,
-    machines: dict[str, MachineConfig],
-    points: Sequence[tuple[float, float]],
-    point_times: Sequence[float],
-    precision: Optional[Precision],
-    k_steps: int,
-    seed: int,
-    engine: str,
-    mechanism: str,
-    overwrite: bool,
-) -> None:
-    """Append one sweep's raw point times to the columnar store."""
-    from repro.model.surface import machine_label
-    from repro.store import SweepWriter
-
-    resolved = precision if precision is not None else spec.default_precision
-    for m_index, machine in enumerate(machines.values()):
-        meta = {
-            "kernel": spec.name,
-            "machine": machine_label(machine),
-            "engine": engine,
-            "mechanism": mechanism,
-            "metric": "time_ns",
-            "precision": resolved.value,
-            "k_steps": k_steps,
-            "seed": seed,
-        }
-        with SweepWriter(store_root, meta, overwrite=overwrite) as writer:
-            for p_index, (bs, nbs) in enumerate(points):
-                writer.append(
-                    bs, nbs, point_times[m_index * len(points) + p_index]
-                )

@@ -14,6 +14,9 @@ primitives make that safe:
   ``O_EXCL`` lockfile fallback elsewhere).  Builders take it around
   check-then-simulate-then-write so two processes never duplicate an
   expensive build or interleave writes.
+
+Both default to directories under :func:`user_cache_dir`, outside the
+source checkout.
 """
 
 from __future__ import annotations
@@ -37,7 +40,17 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "canonical_fingerprint",
+    "user_cache_dir",
 ]
+
+
+def user_cache_dir(name: str) -> Path:
+    """``~/.cache/repro/<name>``: a store's default home.
+
+    The same per-user base as ``repro check``'s cache, so no default
+    ever writes into the (possibly read-only or shared) source tree.
+    """
+    return Path.home() / ".cache" / "repro" / name
 
 
 def atomic_write_text(path: Union[str, Path], text: str) -> None:

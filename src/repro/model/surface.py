@@ -33,7 +33,7 @@ from repro.experiments.executor import (
     SimExecutor,
     default_executor,
 )
-from repro.fsio import FileLock, atomic_write_text
+from repro.fsio import FileLock, atomic_write_text, user_cache_dir
 from repro.kernels.gemm import GemmKernelConfig
 from repro.kernels.library import trace_stream
 from repro.kernels.tiling import Precision, RegisterTile
@@ -157,8 +157,6 @@ class SparsitySurface:
         seed: int = 0,
         executor: Optional[SimExecutor] = None,
         engine: str = "exact",
-        store_root: Optional[Path] = None,
-        store_overwrite: bool = False,
     ) -> SparsitySurface:
         """Simulate the full grid (the expensive path; memoise it).
 
@@ -168,11 +166,6 @@ class SparsitySurface:
         the surface is identical whichever backend ran it.  ``engine``
         selects the tier for *every* point and is recorded on the
         surface.
-
-        With ``store_root`` set, the grid values are also appended to
-        the columnar sweep store (kernel ``"surface"``, metric
-        ``ns_per_fma``) so the surface stays queryable via
-        ``repro query`` alongside streamed sweeps.
         """
         n = len(levels)
         runner = default_executor(executor)
@@ -190,24 +183,6 @@ class SparsitySurface:
             ]
             flat = runner.map(jobs)
             values = np.array(flat).reshape(n, n)
-        if store_root is not None:
-            from repro.store import SweepWriter
-
-            meta = {
-                "kernel": "surface",
-                "machine": label,
-                "engine": engine,
-                "metric": METRIC_NS_PER_FMA,
-                "precision": precision.value,
-                "k_steps": k_steps,
-                "seed": seed,
-            }
-            with SweepWriter(store_root, meta, overwrite=store_overwrite) as writer:
-                index = 0
-                for bs in levels:
-                    for nbs in levels:
-                        writer.append(bs, nbs, flat[index])
-                        index += 1
         return cls(levels=levels, ns_per_fma=values, label=label, engine=engine)
 
 
@@ -239,8 +214,8 @@ class SurfaceStore:
     """Disk-backed memoisation of sparsity surfaces.
 
     Args:
-        directory: cache directory (defaults to the repo-level
-            ``.surface_cache``).
+        directory: cache directory (defaults to
+            ``~/.cache/repro/surfaces``).
         executor: used to fill missing surfaces' grid points; a
             parallel :class:`SimExecutor` builds each surface as one
             concurrent batch.  ``None`` means serial.
@@ -257,7 +232,7 @@ class SurfaceStore:
         memo_size: int = 256,
     ) -> None:
         if directory is None:
-            directory = Path(__file__).resolve().parents[3] / ".surface_cache"
+            directory = user_cache_dir("surfaces")
         if memo_size <= 0:
             raise ValueError("memo_size must be positive")
         self.directory = Path(directory)

@@ -1,4 +1,4 @@
-"""Observability layer: metrics, tracing, spans, analytics, ledger.
+"""Observability layer: metrics, tracing, spans, analytics.
 
 The simulator answers *how fast*; this package answers *why*.  The raw
 layer (see ``docs/architecture.md`` § Observability):
@@ -16,15 +16,13 @@ layer (see ``docs/architecture.md`` § Observability):
   to turn observation on; when absent, every hook in the hot path
   reduces to a single ``is None`` check.
 
-And the analysis-and-ledger layer on top of it:
+And the analysis layer on top of it:
 
 * :mod:`repro.obs.spans` — nestable host wall-clock spans attributing
   pipeline time to build / simulate / merge / report phases.
 * :mod:`repro.obs.analyze` — offline trace analytics (timelines,
   distributions, bottleneck attribution); ``repro trace-report``.
 * :mod:`repro.obs.chrometrace` — Chrome trace-event export (Perfetto).
-* :mod:`repro.obs.bench` — the ``BENCH_<seq>.json`` performance ledger
-  behind ``repro bench``.
 * :mod:`repro.obs.telemetry` — serve-path request-lifecycle telemetry:
   the versioned request log (trace IDs from HTTP ingress through the
   process-pool boundary), exact latency percentiles, the bounded

@@ -14,12 +14,8 @@ per-cycle simulator traces): consume a request log written by
   time is explained by a named phase, and a bottleneck verdict.
 
 ``repro serve-report REQLOG`` renders the whole thing as markdown.
-
-The tables below double as the telemetry schema's *consumer
-declaration*: the ``schema-drift`` check rule cross-checks
-:data:`REQLOG_CONSUMED_EVENTS` and :data:`REPORT_LATENCY_PHASES`
-against the emit sites and field tables in
-:mod:`repro.obs.telemetry` — both directions.
+The latency phases it tabulates are the producer's own
+:data:`repro.obs.telemetry.LATENCY_PHASES`, imported rather than copied.
 """
 
 from __future__ import annotations
@@ -31,6 +27,7 @@ from typing import Any, Optional
 from collections.abc import Iterable, Sequence
 
 from repro.obs.telemetry import (
+    LATENCY_PHASES,
     exact_percentile,
     read_request_log,
     validate_request_event,
@@ -38,38 +35,12 @@ from repro.obs.telemetry import (
 
 __all__ = [
     "BACKPRESSURE_GAP_S",
-    "REPORT_LATENCY_PHASES",
-    "REQLOG_CONSUMED_EVENTS",
     "ServeReportAnalysis",
     "analyze_request_events",
     "analyze_request_log",
     "render_serve_markdown",
     "serve_report_main",
 ]
-
-#: Request-log fields this report reads, per event type.  Every event
-#: type the service emits must be consumed here (and every consumed
-#: field must exist in the schema) — enforced by the ``schema-drift``
-#: rule, so the report can never silently ignore a new event type.
-REQLOG_CONSUMED_EVENTS: dict[str, tuple] = {
-    "ingress": ("trace_id", "key", "outcome"),
-    "phase": ("trace_id", "phase", "wall_s"),
-    "sim": ("trace_ids", "point", "wall_s", "engine"),
-    "complete": ("trace_id", "key", "status", "wall_s"),
-    "access": ("trace_id", "method", "path", "status", "wall_s"),
-    "snapshot": ("queue_depth", "active", "oldest_age_s", "counters"),
-}
-
-#: The latency phases this report tabulates; must equal
-#: :data:`repro.obs.telemetry.LATENCY_PHASES` (checked both ways by
-#: the ``schema-drift`` rule).
-REPORT_LATENCY_PHASES = (
-    "queue_wait",
-    "batch_form",
-    "simulate",
-    "store_write",
-    "e2e",
-)
 
 #: Rejected submits closer together than this belong to one
 #: backpressure episode.
@@ -189,7 +160,7 @@ class ServeReportAnalysis:
         """Phase shares of named wall time, and a one-line verdict."""
         totals = {
             phase: sum(self.phase_samples.get(phase, ()))
-            for phase in REPORT_LATENCY_PHASES
+            for phase in LATENCY_PHASES
             if phase != "e2e"
         }
         named = sum(totals.values())
@@ -234,7 +205,7 @@ def analyze_request_events(
 ) -> ServeReportAnalysis:
     """Derive a :class:`ServeReportAnalysis` from validated events."""
     ingress_outcomes: dict[str, int] = {}
-    phase_samples: dict[str, list[float]] = {p: [] for p in REPORT_LATENCY_PHASES}
+    phase_samples: dict[str, list[float]] = {p: [] for p in LATENCY_PHASES}
     complete_statuses: dict[str, int] = {}
     sim_span_widths: dict[int, int] = {}
     sim_engines: dict[str, int] = {}
@@ -370,7 +341,7 @@ def render_serve_markdown(
 
     lines += ["", "## Latency percentiles (ms)", ""]
     rows = []
-    for phase in REPORT_LATENCY_PHASES:
+    for phase in LATENCY_PHASES:
         pcts = a.percentiles(phase)
         samples = a.phase_samples.get(phase, [])
         if pcts is None:

@@ -91,8 +91,7 @@ REQLOG_COMMON_FIELDS = ("ts", "event")
 
 #: Request lifecycle phases with latency percentiles; ``e2e`` is
 #: submit-to-finish.  Consumers (serve-report, the Prometheus
-#: exposition) must agree with this list — the ``schema-drift`` rule
-#: cross-checks any ``REPORT_LATENCY_PHASES`` declaration against it.
+#: exposition) import this tuple rather than restating it.
 LATENCY_PHASES = ("queue_wait", "batch_form", "simulate", "store_write", "e2e")
 
 #: Exact quantiles exported per phase.

@@ -124,7 +124,7 @@ def compare_main(argv: Optional[list[str]] = None) -> int:
             seed=args.seed,
             executor=SimExecutor(jobs=args.jobs),
             store_root=args.store,
-            store_overwrite=args.overwrite,
+            overwrite=args.overwrite,
         )
     except (UnknownKernelError, MechanismError) as error:
         # KeyError reprs its message in quotes; print the bare text.

@@ -38,7 +38,7 @@ def _serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--store", default=None, metavar="DIR",
-        help="result-store directory (default: repo-level .serve_store)",
+        help="result-store directory (default: ~/.cache/repro/serve)",
     )
     parser.add_argument(
         "--queue-limit", type=int, default=64, metavar="N",
@@ -302,7 +302,7 @@ def _store_parser() -> argparse.ArgumentParser:
     parser.add_argument("action", choices=("stats", "gc"))
     parser.add_argument(
         "--store", default=None, metavar="DIR",
-        help="store directory (default: repo-level .serve_store)",
+        help="store directory (default: ~/.cache/repro/serve)",
     )
     parser.add_argument(
         "--max-age-days", type=float, default=None, metavar="DAYS",

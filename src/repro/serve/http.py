@@ -75,6 +75,10 @@ class ServeHTTPServer(ThreadingHTTPServer):
     allow_reuse_address = True
 
     def __init__(self, address: tuple[str, int], service: SimService) -> None:
+        # The listen backlog must hold a burst of clients as large as the
+        # job queue: socketserver's default of 5 drops the sixth
+        # simultaneous connect, which the kernel retries only after 1 s.
+        self.request_queue_size = service.config.queue_limit
         super().__init__(address, _Handler)
         self.service = service
 

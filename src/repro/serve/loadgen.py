@@ -21,17 +21,13 @@ server's process pool), each popping requests from a shared deque and
 timing one full :meth:`repro.serve.client.ServeClient.run` round trip.
 Request sets are built deterministically from the mix name, so two runs
 against equal servers replay identical traffic.
-
-The same entry points back the ``serve_roundtrip`` workload in the
-:mod:`repro.obs.bench` fixed suite (self-hosted server, fixed request
-counts), which lands the three mixes' p50/p95/p99 + throughput in the
-committed bench ledger.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import socket
 import sys
 import threading
@@ -89,9 +85,14 @@ def build_requests(
     elif mix == "scan":
         # Distinct points of one kernel/machine: same batch_key, so
         # closely spaced submits coalesce into wide executor batches.
+        # The points fill a side x side cell grid over [0.05, 0.95),
+        # so every one is a valid sparsity and none repeats, for any
+        # count.
+        side = math.isqrt(count - 1) + 1
+        step = 0.9 / side
         for i in range(count):
-            bs = round(0.05 + 0.9 * (i % 10) / 10, 6)
-            nbs = round(0.05 + 0.9 * (i // 10) / 10, 6)
+            bs = round(0.05 + step * (i % side), 6)
+            nbs = round(0.05 + step * (i // side), 6)
             requests.append(
                 {
                     "kind": "point",

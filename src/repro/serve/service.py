@@ -68,7 +68,7 @@ class ServeConfig:
     port: int = 8731
     #: Executor worker processes (``None``: ``REPRO_JOBS``, else serial).
     jobs: Optional[int] = None
-    #: Result-store directory (``None``: the repo-level ``.serve_store``).
+    #: Result-store directory (``None``: ``~/.cache/repro/serve``).
     store_dir: Optional[Union[str, Path]] = None
     #: Bounded queue capacity; submits beyond it get backpressure.
     queue_limit: int = 64

@@ -22,23 +22,23 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from repro.fsio import FileLock, atomic_write_text
+from repro.fsio import FileLock, atomic_write_text, user_cache_dir
 from repro.serve.schema import SERVE_SCHEMA_VERSION
 
 __all__ = ["ResultStore", "default_store_dir"]
 
 
 def default_store_dir() -> Path:
-    """Repo-level default, next to the surface cache."""
-    return Path(__file__).resolve().parents[3] / ".serve_store"
+    """Per-user default, next to the surface cache."""
+    return user_cache_dir("serve")
 
 
 class ResultStore:
     """Disk-backed, content-addressed result payloads.
 
     Args:
-        directory: store directory (defaults to the repo-level
-            ``.serve_store``).
+        directory: store directory (defaults to
+            ``~/.cache/repro/serve``).
         memo_size: in-memory LRU capacity; repeats within one process
             skip the disk read entirely.
 

@@ -1,7 +1,7 @@
 """Schema-drift coverage of the request-log telemetry contract.
 
 Each test copies the real source tree, injects one realistic drift
-(renamed emit, narrowed consumer tuple, diverged phase list) and
+(renamed emit, dropped required field, overridden common field) and
 asserts the ``schema-drift`` rule catches it — the negative tests the
 static cross-checks need to be trusted.
 """
@@ -67,50 +67,6 @@ def test_missing_required_field_on_emit_is_caught(work_tree):
     assert any(
         "'ingress'" in d.message and "missing required" in d.message
         and "'key'" in d.message
-        for d in drift
-    )
-
-
-def test_consumer_field_tuple_drift_is_caught(work_tree):
-    _rewrite(
-        work_tree / "repro" / "obs" / "servereport.py",
-        '"ingress": ("trace_id", "key", "outcome"),',
-        '"ingress": ("trace_id", "outcome"),',
-    )
-    drift = _drift(run_checks(work_tree, rule_ids=["schema-drift"]))
-    assert any(
-        "REQLOG_CONSUMED_EVENTS['ingress']" in d.message
-        and "but the schema requires" in d.message
-        for d in drift
-    )
-
-
-def test_schema_event_missing_from_consumers_is_caught(work_tree):
-    _rewrite(
-        work_tree / "repro" / "obs" / "servereport.py",
-        '    "snapshot": ("queue_depth", "active", "oldest_age_s", "counters"),\n',
-        "",
-    )
-    drift = _drift(run_checks(work_tree, rule_ids=["schema-drift"]))
-    assert any(
-        "'snapshot'" in d.message
-        and "missing from REQLOG_CONSUMED_EVENTS" in d.message
-        for d in drift
-    )
-
-
-def test_report_phase_divergence_fails_both_directions(work_tree):
-    path = work_tree / "repro" / "obs" / "servereport.py"
-    # Drop a real phase and add a phantom one in a single edit.
-    _rewrite(path, '    "store_write",\n', '    "warp_drive",\n')
-    drift = _drift(run_checks(work_tree, rule_ids=["schema-drift"]))
-    assert any(
-        "'warp_drive'" in d.message and "not in LATENCY_PHASES" in d.message
-        for d in drift
-    )
-    assert any(
-        "'store_write'" in d.message
-        and "missing from REPORT_LATENCY_PHASES" in d.message
         for d in drift
     )
 

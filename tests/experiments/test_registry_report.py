@@ -230,37 +230,6 @@ class TestCliSubcommands:
         assert main(["trace-report", str(tmp_path / "absent.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_bench_dispatch(self, tmp_path, capsys, monkeypatch):
-        # Route the ledger into tmp and fake the suite: this tests the
-        # dispatch seam, not the benchmark itself (see tests/obs/test_bench).
-        from repro.obs import bench
-
-        def fake_run_suite(quick=False, repeats=2, echo=None):
-            return {
-                "schema": bench.BENCH_SCHEMA_VERSION,
-                "created_unix": 0.0,
-                "quick": quick,
-                "repeats": repeats,
-                "python": "3",
-                "platform": "t",
-                "version": "0",
-                "workloads": {
-                    "w": {
-                        "wall_s": 0.1,
-                        "jobs": 1,
-                        "points": 1,
-                        "sim_cycles": 10,
-                        "cycles_per_sec": 100.0,
-                        "counters": {},
-                    }
-                },
-            }
-
-        monkeypatch.setattr(bench, "run_suite", fake_run_suite)
-        assert main(["bench", "--quick", "--ledger", str(tmp_path)]) == 0
-        assert "baseline recorded" in capsys.readouterr().out
-        assert (tmp_path / "BENCH_0001.json").exists()
-
     def test_subcommand_help_is_its_own(self, capsys):
         # The subcommand's own parser handles its flags: --help names
         # the subcommand, not the experiment runner.

@@ -1,9 +1,8 @@
-"""Out-of-core streaming sweeps and their store-backed twins.
+"""Out-of-core streaming sweeps into the columnar store.
 
 The acceptance contract: a streamed sweep's stored rows are identical
-to direct per-point simulation, invariant under batch size, and the
-surface path's store mirror is identical to the legacy in-memory JSON
-surface on a shared grid.
+to direct per-point simulation, invariant under batch size, and equal
+to the in-memory surface on a shared grid.
 """
 
 import numpy as np
@@ -11,10 +10,9 @@ import pytest
 
 from repro.core.config import BASELINE_2VPU, SAVE_2VPU
 from repro.experiments.streamsweep import stream_sweep
-from repro.experiments.sweeps import sweep_kernel
 from repro.fastsim import simulate_config
 from repro.kernels.library import get_kernel
-from repro.kernels.tiling import BroadcastPattern, Precision, RegisterTile
+from repro.kernels.tiling import Precision
 from repro.model.surface import SparsitySurface, machine_label
 from repro.store import SweepStore
 
@@ -89,36 +87,6 @@ class TestStreamSweep:
                 batch_points=0,
             )
 
-
-class TestSurfaceStoreMirror:
-    def test_store_rows_equal_legacy_surface_json(self, tmp_path):
-        # The acceptance grid: the paper's 10%-step levels.  The store
-        # mirror written by SparsitySurface.build must reproduce the
-        # in-memory JSON surface exactly, row for row.
-        levels = tuple(round(0.1 * i, 1) for i in range(10))
-        tile = RegisterTile(2, 2, BroadcastPattern.EXPLICIT)
-        surface = SparsitySurface.build(
-            tile,
-            Precision.FP32,
-            SAVE_2VPU,
-            levels=levels,
-            k_steps=6,
-            engine="fast",
-            store_root=tmp_path,
-        )
-        payload = surface.to_json()
-        rows = list(SweepStore(tmp_path).query(kernel="surface"))
-        assert len(rows) == len(levels) ** 2
-        for index, row in enumerate(rows):
-            i, j = divmod(index, len(levels))
-            assert row["bs"] == pytest.approx(levels[i])
-            assert row["nbs"] == pytest.approx(levels[j])
-            assert row["value"] == pytest.approx(
-                payload["ns_per_fma"][i][j]
-            )
-        assert rows[0]["machine"] == payload["label"]
-        assert rows[0]["engine"] == payload["engine"]
-
     def test_streamed_sweep_equals_surface_grid(self, tmp_path):
         # Same grid, same machine, same tier: the out-of-core path and
         # the in-memory surface must agree point for point.  The
@@ -138,28 +106,3 @@ class TestSurfaceStoreMirror:
             [r["value"] for r in SweepStore(tmp_path).query()]
         ).reshape(len(levels), len(levels))
         np.testing.assert_allclose(values, surface.ns_per_fma)
-
-
-class TestSweepKernelStoreMirror:
-    def test_point_times_recorded_per_machine(self, tmp_path):
-        spec = get_kernel("resnet2_2_fwd")
-        results = sweep_kernel(
-            spec,
-            {"save": SAVE_2VPU},
-            (0.0, 0.6),
-            (0.0, 0.6),
-            k_steps=4,
-            engine="analytic",
-            store_root=tmp_path,
-        )
-        store = SweepStore(tmp_path)
-        rows = list(store.query(kernel="resnet2_2_fwd", metric="time_ns"))
-        assert len(rows) == 4
-        speedups = results["save"].speedups
-        base_time = None
-        for row in rows:
-            speedup = speedups[(round(row["bs"], 2), round(row["nbs"], 2))]
-            reconstructed = speedup * row["value"]
-            if base_time is None:
-                base_time = reconstructed
-            assert reconstructed == pytest.approx(base_time)

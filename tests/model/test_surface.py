@@ -2,6 +2,7 @@
 
 import json
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +107,13 @@ class TestSurfaceStore:
         a = store.get(TILE, Precision.FP32, SAVE_2VPU, levels=(0.0, 0.9), k_steps=4)
         b = store.get(TILE, Precision.FP32, SAVE_2VPU, levels=(0.0, 0.9), k_steps=4)
         assert a is b
+
+    def test_default_directory_is_outside_the_checkout(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        directory = SurfaceStore().directory
+        assert directory == tmp_path / ".cache" / "repro" / "surfaces"
+        checkout = Path(__file__).resolve().parents[2]
+        assert not directory.resolve().is_relative_to(checkout)
 
 
 class TestMachineLabel:

@@ -8,6 +8,7 @@ the on-disk store without re-simulating; the queue backpressures with
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -195,3 +196,38 @@ class TestHttpErrors:
             assert live.client().healthz()["status"] == "draining"
             with pytest.raises(Backpressure):
                 live.client().submit(body())
+
+
+class TestListenBacklog:
+    def test_connect_burst_is_queued_not_dropped(self, tmp_path):
+        # Sixteen clients connect before the server accepts anything.
+        # A listen backlog of 5 drops the surplus SYNs, which the kernel
+        # retries only after 1 s; a queue-sized backlog holds them all.
+        service = SimService(
+            ServeConfig(port=0, store_dir=tmp_path, batch_window_s=0.0)
+        )
+        service.start()
+        server = make_server(service)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        sockets = []
+        try:
+            for _ in range(16):
+                sock = socket.socket()
+                sock.setblocking(False)
+                sock.connect_ex(server.server_address[:2])
+                sockets.append(sock)
+            start = time.perf_counter()
+            thread.start()
+            for sock in sockets:
+                sock.settimeout(5.0)
+                sock.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+                assert sock.recv(64).startswith(b"HTTP/1.0 200")
+            elapsed = time.perf_counter() - start
+        finally:
+            for sock in sockets:
+                sock.close()
+            if thread.is_alive():
+                server.shutdown()
+            server.server_close()
+            service.close()
+        assert elapsed < 0.5, f"16 connects took {elapsed:.2f}s"

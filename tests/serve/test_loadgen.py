@@ -39,6 +39,12 @@ class TestBuildRequests:
         assert len({p.batch_key() for p in parsed}) == 1
         assert len({p.fingerprint() for p in parsed}) == 15
 
+    def test_large_scan_mix_stays_valid_and_distinct(self):
+        # Points must stay inside [0, 1] and unique well past 100
+        # requests, or the server refuses the tail with HTTP 400.
+        parsed = [parse_request(r) for r in build_requests("scan", 1000)]
+        assert len({p.fingerprint() for p in parsed}) == 1000
+
     def test_cold_mix_is_unique_in_both_dimensions(self):
         parsed = [parse_request(r) for r in build_requests("cold", 10)]
         assert len({p.fingerprint() for p in parsed}) == 10

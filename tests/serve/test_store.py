@@ -1,6 +1,7 @@
 """Tests for the content-addressed result store."""
 
 import json
+from pathlib import Path
 
 from repro.serve.schema import SERVE_SCHEMA_VERSION
 from repro.serve.store import ResultStore
@@ -34,6 +35,13 @@ class TestRoundTrip:
         leftovers = [p.name for p in tmp_path.iterdir()
                      if p.suffix not in (".json", ".lock")]
         assert leftovers == []
+
+    def test_default_directory_is_outside_the_checkout(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        directory = ResultStore().directory
+        assert directory == tmp_path / ".cache" / "repro" / "serve"
+        checkout = Path(__file__).resolve().parents[2]
+        assert not directory.resolve().is_relative_to(checkout)
 
 
 class TestDamageAndStaleness:
