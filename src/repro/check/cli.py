@@ -33,7 +33,7 @@ import hashlib
 from pathlib import Path
 from typing import Optional
 
-from repro.check import ALL_RULES, UnknownRuleError, run_checks
+from repro.check import ALL_RULES, FactRule, UnknownRuleError, run_checks
 from repro.check.baseline import filter_new, load_baseline, render_baseline
 from repro.check.contracts import write_snapshot
 from repro.check.sarif import render_sarif
@@ -63,7 +63,7 @@ def default_cache_dir(root: Path) -> Path:
 def _list_rules() -> str:
     lines = ["rule catalogue:"]
     for rule in ALL_RULES:
-        scope = "project-wide" if rule.project_wide else (
+        scope = "project-wide" if isinstance(rule, FactRule) else (
             ", ".join(rule.include) if rule.include else "all files"
         )
         lines.append(f"  {rule.id:<20} [{scope}]")

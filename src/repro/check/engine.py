@@ -24,7 +24,7 @@ v2 architecture (the v1 engine ran independent per-file AST rules):
 Rules never import or execute the code they inspect — fixtures with
 unsatisfiable imports are fine, and checking is safe on any tree.
 
-Three rule shapes exist:
+Two rule shapes exist:
 
 * **Per-file rules** override :meth:`Rule.check_file`; their
   diagnostics are cached per content hash.
@@ -32,10 +32,6 @@ Three rule shapes exist:
   — a per-file, cached, *picklable* distillation — and
   :meth:`FactRule.check_facts`, the cross-module phase that sees every
   file's facts plus the program index.
-* **Legacy project rules** (``project_wide = True`` with
-  :meth:`Rule.check_project`) still run, at the cost of materialising
-  ASTs for every file; the in-tree rules have all been ported to
-  facts.
 
 Suppression comments::
 
@@ -243,7 +239,6 @@ class Rule:
     #: Module-path prefixes (``mod``) the rule applies to; empty = all.
     include: tuple[str, ...] = ()
     exclude: tuple[str, ...] = ()
-    project_wide: bool = False
 
     def matches(self, mod: str) -> bool:
         if any(mod == e or mod.startswith(e) for e in self.exclude):
@@ -253,9 +248,6 @@ class Rule:
         return any(mod == i or mod.startswith(i) for i in self.include)
 
     def check_file(self, checked: CheckedFile) -> Iterable[Diagnostic]:
-        return ()
-
-    def check_project(self, files: Sequence[CheckedFile]) -> Iterable[Diagnostic]:
         return ()
 
     def external_state(self, root: Path) -> str:
@@ -307,8 +299,6 @@ class FactRule(Rule):
     once per check over every file's facts plus the program index —
     it never sees an AST, which is what makes warm runs cheap.
     """
-
-    project_wide = True
 
     def extract(self, checked: CheckedFile) -> Any:
         return None
@@ -448,7 +438,6 @@ class _FileState:
     program_facts: ProgramFacts
     rule_facts: dict[str, Any]
     diagnostics: list[Diagnostic]
-    checked: Optional[CheckedFile] = None  # only for freshly parsed files
 
 
 def _select_rules(
@@ -510,7 +499,6 @@ def _analyse_fresh(
         ),
         rule_facts=rule_facts,
         diagnostics=diagnostics,
-        checked=checked,
     )
     state.per_rule_diags = per_rule  # type: ignore[attr-defined]
     return state
@@ -538,10 +526,7 @@ def run_checks(
     started = time.perf_counter()
     selected = _select_rules(rules, rule_ids)
     fact_rules = [r for r in selected if isinstance(r, FactRule)]
-    legacy_project = [
-        r for r in selected if r.project_wide and not isinstance(r, FactRule)
-    ]
-    per_file_rules = [r for r in selected if not r.project_wide]
+    per_file_rules = [r for r in selected if not isinstance(r, FactRule)]
 
     root = Path(root)
     paths, base = _walk_paths(root)
@@ -684,25 +669,6 @@ def run_checks(
         )
         for rule in fact_rules:
             diagnostics.extend(rule.check_facts(ctx))
-
-    if legacy_project:
-        # Legacy project rules need real ASTs; materialise any file the
-        # cache served from facts.  In-tree rules are all fact rules,
-        # so this path only runs for externally supplied rule objects.
-        materialized: list[CheckedFile] = []
-        for state in states:
-            if state.checked is None:
-                path = base / state.meta.rel
-                source = path.read_text(encoding="utf-8")
-                checked, error_diag = _parse_one(
-                    path, state.meta.rel, state.meta.mod, source
-                )
-                if checked is not None:
-                    state.checked = checked
-            if state.checked is not None:
-                materialized.append(state.checked)
-        for rule in legacy_project:
-            diagnostics.extend(rule.check_project(materialized))
 
     # -- suppression filter + stale-marker accounting ---------------------
 

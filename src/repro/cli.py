@@ -77,12 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--engine",
         default="exact",
-        choices=("exact", "fast", "analytic"),
+        choices=("exact", "fast"),
         help=(
             "simulation tier: 'exact' is the cycle-level pipeline; "
             "'fast' is the calibrated structure-of-arrays estimator "
-            "(~10-100x faster per point); 'analytic' is the closed-form "
-            "model (fastest, loosest)"
+            "(~10-100x faster per point)"
         ),
     )
     parser.add_argument(

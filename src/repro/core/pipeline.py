@@ -104,8 +104,8 @@ class SimResult:
     #: lane-utilisation distributions, structure peaks, event counters.
     metrics: Optional[dict] = None
     final_state: Optional[ArchState] = None
-    #: Which engine tier produced this result ("exact", "fast",
-    #: "analytic").  Carried everywhere so tiers never mix silently.
+    #: Which engine tier produced this result ("exact" or "fast").
+    #: Carried everywhere so tiers never mix silently.
     engine: str = "exact"
     #: Which skip mechanism the run modeled ("save", "sparce",
     #: "indexmac").  Stamped by callers that apply the mechanism axis
@@ -1047,8 +1047,8 @@ def simulate(
     returned :attr:`SimResult.metrics` then holds the snapshot.
 
     ``engine`` selects the tier: ``"exact"`` (this module's cycle-level
-    pipeline, the default), or ``"fast"``/``"analytic"`` which delegate
-    to :mod:`repro.fastsim`'s estimators (no µop execution, no
+    pipeline, the default), or ``"fast"`` which delegates to
+    :mod:`repro.fastsim`'s estimator (no µop execution, no
     ``final_state``/``metrics``); results carry an ``engine`` tag.
     """
     if engine != "exact":

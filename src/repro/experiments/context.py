@@ -58,10 +58,9 @@ class RunContext:
         samples: per-layer sparsity samples for Fig. 14's dynamic
             activation model.
         engine: simulation engine tier for every grid point —
-            ``"exact"`` (cycle-level pipeline), ``"fast"`` (calibrated
-            structure-of-arrays bounds) or ``"analytic"`` (closed-form
-            model).  Results and cached surfaces carry the tag, so
-            tiers never mix.
+            ``"exact"`` (cycle-level pipeline) or ``"fast"``
+            (calibrated structure-of-arrays bounds).  Results and
+            cached surfaces carry the tag, so tiers never mix.
         mechanism: skip-mechanism variant for every grid point —
             ``"save"`` (the paper's engine), ``"sparce"`` (scalar
             whole-instruction skip) or ``"indexmac"`` (indexed-MAC over

@@ -78,8 +78,8 @@ class PointJob:
     config: Any
     machine: MachineConfig
     metric: str = METRIC_TIME_NS
-    #: Engine tier ("exact", "fast", "analytic").  Fast tiers estimate
-    #: from the seeded config directly — no trace, no instrumentation.
+    #: Engine tier ("exact" or "fast").  The fast tier estimates from
+    #: the seeded config directly — no trace, no instrumentation.
     engine: str = "exact"
     #: Skip mechanism ("save", "sparce", "indexmac") — resolved to a
     #: (config, machine) transform by :mod:`repro.rivals.mechanisms`

@@ -19,9 +19,7 @@ representation and predicts cycles from them:
 
 The raw estimate is ``max(bounds)``; the calibrated estimate is a
 per-kernel-class linear blend of the bounds fitted against the exact
-model (see :mod:`repro.fastsim.calibration`).  The analytic tier reuses
-:func:`repro.model.analytic.predicted_time_per_fma_ns` — the paper's
-closed-form steady-state model — and is documented looser.
+model (see :mod:`repro.fastsim.calibration`).
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from repro.memory.broadcast_cache import BroadcastCacheKind
 
 __all__ = [
     "ENGINES",
-    "ENGINE_ANALYTIC",
     "ENGINE_EXACT",
     "ENGINE_FAST",
     "FASTSIM_MODEL_VERSION",
@@ -61,8 +58,7 @@ __all__ = [
 
 ENGINE_EXACT = "exact"
 ENGINE_FAST = "fast"
-ENGINE_ANALYTIC = "analytic"
-ENGINES = (ENGINE_EXACT, ENGINE_FAST, ENGINE_ANALYTIC)
+ENGINES = (ENGINE_EXACT, ENGINE_FAST)
 
 #: Bump when the bound model or feature vector changes shape/meaning —
 #: invalidates committed calibration artifacts.
@@ -330,36 +326,20 @@ def simulate_arrays(
     *,
     config: GemmKernelConfig | None = None,
 ) -> SimResult:
-    """Estimate one point from its structure-of-arrays form."""
+    """Estimate one point from its structure-of-arrays form.
+
+    ``config`` is unused: the estimate reads everything from ``arrays``.
+    It stays so that callers which pass it keep working.
+    """
     validate_engine(engine)
     if engine == ENGINE_EXACT:
         raise ValueError("the exact engine needs a µop trace; use repro.core")
+    from repro.fastsim.calibration import weights_for
+
     breakdown = bounds(arrays, machine)
-    if engine == ENGINE_ANALYTIC:
-        from repro.model.analytic import predicted_time_per_fma_ns
-
-        ns_per_fma = predicted_time_per_fma_ns(
-            arrays.tile,
-            machine,
-            arrays.precision,
-            config.broadcast_sparsity if config is not None else _a_sparsity(arrays),
-            config.nonbroadcast_sparsity if config is not None else _b_sparsity(arrays),
-        )
-        cycles = ns_per_fma * arrays.fma_count * machine.core.freq_ghz
-    else:
-        from repro.fastsim.calibration import weights_for
-
-        key = class_key(arrays.tile, arrays.precision, machine)
-        cycles = predict_cycles(breakdown, weights_for(key))
+    key = class_key(arrays.tile, arrays.precision, machine)
+    cycles = predict_cycles(breakdown, weights_for(key))
     return _assemble(arrays, machine, cycles, breakdown, engine)
-
-
-def _a_sparsity(arrays: TraceArrays) -> float:
-    return 1.0 - np.count_nonzero(arrays.a_nz) / arrays.a_nz.size
-
-
-def _b_sparsity(arrays: TraceArrays) -> float:
-    return 1.0 - np.count_nonzero(arrays.b_nz) / arrays.b_nz.size
 
 
 def simulate_config(
@@ -368,9 +348,7 @@ def simulate_config(
     engine: str = ENGINE_FAST,
 ) -> SimResult:
     """Estimate one seeded kernel config without building a µop trace."""
-    return simulate_arrays(
-        TraceArrays.from_config(config), machine, engine, config=config
-    )
+    return simulate_arrays(TraceArrays.from_config(config), machine, engine)
 
 
 def simulate_trace(

@@ -8,15 +8,12 @@ Since the streaming redesign, consumers should treat a trace as a
 *chunked µop stream* (:meth:`KernelTrace.iter_uops`) rather than a
 materialized list: the pipeline, the reference executor and the fast
 engine all pull chunks incrementally, so out-of-core sweeps never hold
-more than one chunk of µops per in-flight point.  Direct ``.uops``
-attribute access is deprecated — call :meth:`KernelTrace.materialize`
-when a plain list is genuinely needed (see ``docs/api.md`` for the
-migration table).
+more than one chunk of µops per in-flight point.  Call
+:meth:`KernelTrace.materialize` when a plain list is genuinely needed.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 from collections.abc import Iterable, Iterator
@@ -105,8 +102,7 @@ class KernelTrace:
             levels, reduction depth, ...).
 
     The µop list itself is reached through :meth:`iter_uops` (chunked,
-    the streaming contract) or :meth:`materialize` (the full list);
-    attribute access via ``.uops`` still works but is deprecated.
+    the streaming contract) or :meth:`materialize` (the full list).
     """
 
     def __init__(
@@ -130,23 +126,6 @@ class KernelTrace:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KernelTrace(name={self.name!r}, uops={len(self._uops)})"
-
-    @property
-    def uops(self) -> list[Uop]:
-        """Deprecated direct access to the µop list.
-
-        .. deprecated::
-            Use :meth:`materialize` for the full list or
-            :meth:`iter_uops` for chunked streaming; ``.uops`` will be
-            removed one release after the streaming redesign.
-        """
-        warnings.warn(
-            "KernelTrace.uops is deprecated; use materialize() for the "
-            "full list or iter_uops() for chunked streaming",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._uops
 
     def materialize(self) -> list[Uop]:
         """The full µop list in program order (already resident)."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 from collections.abc import Sequence
@@ -48,7 +48,9 @@ TRACE_GENERATOR_VERSION = 2
 #: by an older build are invalidated (left orphaned, rebuilt under a
 #: new key) instead of silently reused.  Bump on any change to the
 #: simulator, the surface payload layout, or the key recipe.
-SURFACE_SCHEMA_VERSION = 1
+#: v2: keys name the machine by every ``MachineConfig`` field instead
+#: of :func:`machine_label`, which omits fields that change timing.
+SURFACE_SCHEMA_VERSION = 2
 
 #: The paper's grid: 0%-90% at 10% intervals.
 PAPER_LEVELS = tuple(round(0.1 * i, 1) for i in range(10))
@@ -58,7 +60,11 @@ COARSE_LEVELS = (0.0, 0.3, 0.6, 0.9)
 
 
 def machine_label(machine: MachineConfig) -> str:
-    """Stable identity string for cache keys and reports."""
+    """Stable short label for reports.
+
+    It names the SAVE features, VPU count and clock only, so two
+    machines differing in any other field share a label.
+    """
     core = machine.core
     save = machine.save
     if not save.enabled:
@@ -115,8 +121,8 @@ class SparsitySurface:
     #: ns per VFMA, indexed ``[bs_index, nbs_index]``.
     ns_per_fma: np.ndarray
     label: str = ""
-    #: Engine tier that produced every point ("exact", "fast",
-    #: "analytic") — surfaces never mix tiers.
+    #: Engine tier that produced every point ("exact" or "fast") —
+    #: surfaces never mix tiers.
     engine: str = "exact"
 
     def __post_init__(self) -> None:
@@ -263,12 +269,13 @@ class SurfaceStore:
                 "generator": TRACE_GENERATOR_VERSION,
                 "tile": [tile.rows, tile.col_vectors, tile.pattern.value],
                 "precision": precision.value,
-                "machine": machine_label(machine),
+                "machine": asdict(machine),
                 "levels": list(levels),
                 "k_steps": k_steps,
                 "engine": engine,
             },
             sort_keys=True,
+            default=lambda member: member.name,  # the machine's enum fields
         )
         return hashlib.sha256(raw.encode()).hexdigest()[:24]
 

@@ -35,7 +35,7 @@ speedups are measured against one shared baseline.
 
 The fast tier is calibrated against SAVE's exact pipeline only, so
 mechanisms other than ``save`` are **exact-engine only**; requesting
-them with a fast/analytic engine raises :class:`MechanismError` here,
+them with the fast engine raises :class:`MechanismError` here,
 the single enforcement point every producer (executor, sweeps, serve)
 funnels through.
 """

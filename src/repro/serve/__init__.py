@@ -15,7 +15,7 @@ execution layer into a *service*:
   graceful drain.
 * :mod:`repro.serve.http` — the stdlib HTTP JSON API.
 * :mod:`repro.serve.client` — :class:`ServeClient` (``submit`` /
-  ``poll`` / ``result`` / blocking ``run``).
+  ``result``, which waits on the server for the job / blocking ``run``).
 * :mod:`repro.serve.cli` — ``repro serve`` / ``repro submit`` /
   ``repro store``.
 """

@@ -42,7 +42,10 @@ def _serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--queue-limit", type=int, default=64, metavar="N",
-        help="bounded queue capacity; excess submits get HTTP 429",
+        help=(
+            "bounded queue capacity, also the cap on result fetches "
+            "waiting at once; excess submits and fetches get HTTP 429"
+        ),
     )
     parser.add_argument(
         "--batch-window", type=float, default=0.01, metavar="SECONDS",
@@ -219,8 +222,8 @@ def _submit_parser() -> argparse.ArgumentParser:
         "--metric", default="ns_per_fma", choices=("ns_per_fma", "time_ns")
     )
     parser.add_argument(
-        "--engine", default="exact", choices=("exact", "fast", "analytic"),
-        help="simulation tier (fast/analytic estimate; exact is cycle-level)",
+        "--engine", default="exact", choices=("exact", "fast"),
+        help="simulation tier (fast estimates; exact is cycle-level)",
     )
     parser.add_argument(
         "--timeout", type=float, default=300.0,

@@ -1,10 +1,10 @@
 """Thin stdlib client for the ``repro serve`` HTTP API.
 
-:class:`ServeClient` wraps the four verbs a caller needs — ``submit``,
-``poll``, ``result`` and the blocking convenience ``run`` (submit,
-honour backpressure, poll to completion, fetch).  Errors map to typed
-exceptions so callers can distinguish "try again later"
-(:class:`Backpressure`) from "the request is wrong"
+:class:`ServeClient` wraps the three verbs a caller needs — ``submit``,
+``result`` (which waits on the server for the job to settle) and the
+blocking convenience ``run`` (submit, honour backpressure, fetch).
+Errors map to typed exceptions so callers can distinguish "try again
+later" (:class:`Backpressure`) from "the request is wrong"
 (:class:`ClientError`) from "the simulation failed" (:class:`JobFailed`).
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import random
 import time
 import urllib.error
 import urllib.request
@@ -24,15 +23,6 @@ __all__ = [
     "JobFailed",
     "ServeClient",
 ]
-
-#: Poll backoff tuning for :meth:`ServeClient.run`: first wait, cap,
-#: growth factor, and the jitter band (each delay is scaled by a
-#: uniform draw from [JITTER_LOW, 1.0] so synchronized clients spread
-#: out instead of polling in lockstep).
-POLL_INITIAL_S = 0.02
-POLL_MAX_S = 1.0
-POLL_GROWTH = 2.0
-POLL_JITTER_LOW = 0.5
 
 
 class ClientError(RuntimeError):
@@ -60,20 +50,13 @@ class ServeClient:
 
     Args:
         base_url: e.g. ``http://127.0.0.1:8731`` (trailing slash ok).
-        timeout: per-HTTP-call socket timeout in seconds.
+        timeout: per-HTTP-call socket timeout in seconds.  A result
+            fetch asks the server to wait at most half of it.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        timeout: float = 10.0,
-        rng: Optional[random.Random] = None,
-    ) -> None:
+    def __init__(self, base_url: str, timeout: float = 10.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        #: Jitter source for poll backoff; injectable so tests get
-        #: deterministic delay sequences.
-        self.rng = rng if rng is not None else random.Random()
 
     # -- transport --------------------------------------------------------
 
@@ -108,19 +91,21 @@ class ServeClient:
         """Submit a request body; returns ``{"job", "status", "outcome"}``."""
         return self._call("POST", "/v1/submit", request)
 
-    def poll(self, key: str) -> dict[str, Any]:
-        """Job status for a key."""
-        return self._call("GET", f"/v1/jobs/{key}")
-
     def result(self, key: str) -> dict[str, Any]:
-        """The completed result payload for a key.
+        """The result payload for a key, once its job is done.
+
+        The server holds the fetch until the job settles or half of
+        ``timeout`` passes, so it always answers before the socket
+        gives up.
 
         Raises:
             JobFailed: the server reports the job failed.
-            ClientError: the key is unknown or still in flight.
+            ClientError: the key is unknown (404), or still in flight
+                when the wait ended (409).
+            Backpressure: too many fetches are already waiting.
         """
         try:
-            return self._call("GET", f"/v1/result/{key}")
+            return self._call("GET", f"/v1/result/{key}?wait={self.timeout / 2:g}")
         except ClientError as error:
             if error.status == 500:
                 raise JobFailed(str(error)) from None
@@ -137,53 +122,32 @@ class ServeClient:
 
     # -- convenience ------------------------------------------------------
 
-    def run(
-        self,
-        request: dict[str, Any],
-        timeout: float = 120.0,
-        poll_interval: Optional[float] = None,
-    ) -> dict[str, Any]:
+    def run(self, request: dict[str, Any], timeout: float = 120.0) -> dict[str, Any]:
         """Submit and block until the result payload is available.
 
-        Retries backpressured submits (honouring ``Retry-After``,
-        fractional values included) and polls the job until done, all
-        within ``timeout`` seconds.  Polling backs off exponentially
-        with jitter — starting at ``poll_interval`` (default 20ms) and
-        doubling to a 1s cap — instead of hammering a fixed 50ms loop;
-        a long simulation costs the server O(log) status probes rather
-        than thousands.  Every sleep is clamped to the remaining
-        deadline, and :class:`TimeoutError` is raised *before* a sleep
-        that could not be answered in time, so ``run`` never blocks
-        past ``timeout``.
+        A backpressured submit or fetch is retried after the server's
+        ``Retry-After`` hint (fractional values included); a fetch that
+        finds the job still in flight is repeated.  No retry starts or
+        sleeps past ``timeout``, but a fetch already under way runs to
+        its end, so ``run`` may overrun ``timeout`` by at most one wait
+        (half the socket timeout).
         """
         deadline = time.monotonic() + timeout
+        key: Optional[str] = None
         while True:
             try:
-                ticket = self.submit(request)
-                break
+                if key is None:
+                    key = self.submit(request)["job"]
+                return self.result(key)
             except Backpressure as error:
                 wait = min(error.retry_after_s, max(0, deadline - time.monotonic()))
                 if time.monotonic() + wait >= deadline:
                     raise TimeoutError(
-                        f"submit still backpressured after {timeout}s"
+                        f"still backpressured after {timeout}s"
                     ) from None
                 time.sleep(wait)
-        key = ticket["job"]
-        delay = POLL_INITIAL_S if poll_interval is None else poll_interval
-        while True:
-            status = self.poll(key)["status"]
-            if status == "done":
-                return self.result(key)
-            if status == "failed":
-                raise JobFailed(self.poll(key).get("error") or "job failed")
-            if status == "unknown":
-                raise ClientError(404, f"job {key} disappeared")
-            now = time.monotonic()
-            if now >= deadline:
-                raise TimeoutError(f"job {key} not done after {timeout}s")
-            wait = min(
-                delay * self.rng.uniform(POLL_JITTER_LOW, 1.0),
-                deadline - now,
-            )
-            time.sleep(max(0.0, wait))
-            delay = min(delay * POLL_GROWTH, POLL_MAX_S)
+            except ClientError as error:
+                if error.status != 409:
+                    raise
+                if time.monotonic() >= deadline:
+                    raise TimeoutError(f"job {key} not done after {timeout}s") from None

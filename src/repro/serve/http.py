@@ -11,11 +11,14 @@ a local/cluster-internal tool, not an internet-facing one.  Endpoints:
                                 served from cache; ``429`` +
                                 ``Retry-After`` under backpressure;
                                 ``503`` while draining.
-``GET /v1/jobs/<key>``          → job status (``pending`` / ``running``
-                                / ``done`` / ``failed`` / ``unknown``).
-``GET /v1/result/<key>``        → the stored result payload; ``404``
-                                unknown, ``409`` still in flight,
-                                ``500`` failed.
+``GET /v1/result/<key>?wait=S`` → the stored result payload, after
+                                waiting up to ``S`` seconds (default
+                                ``0``) for an in-flight job to settle;
+                                else the job status body with ``404``
+                                unknown, ``409`` still in flight or
+                                ``500`` failed.  ``400`` for a bad
+                                ``S``; ``429`` + ``Retry-After`` when
+                                ``queue_limit`` fetches already wait.
 ``GET /healthz``                → liveness + queue depth.
 ``GET /metrics``                → the service metrics snapshot
                                 (:class:`repro.obs.MetricsRegistry`),
@@ -35,9 +38,11 @@ when the service runs with a request log — recorded as a structured
 from __future__ import annotations
 
 import json
+import math
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional
+from urllib.parse import parse_qs, urlsplit
 
 from repro.obs.telemetry import new_trace_id, render_prometheus, wants_prometheus
 from repro.serve.schema import RequestError, parse_request
@@ -66,6 +71,18 @@ def format_retry_after(retry_after_s: float) -> str:
     if retry_after_s == int(retry_after_s):
         return str(max(1, int(retry_after_s)))
     return f"{retry_after_s:.6f}".rstrip("0").rstrip(".")
+
+
+def _wait_seconds(query: str) -> float:
+    """The ``wait`` parameter of a result fetch, in seconds (absent: 0)."""
+    raw = parse_qs(query, keep_blank_values=True).get("wait", ["0"])[-1]
+    try:
+        wait_s = float(raw)
+    except ValueError:
+        wait_s = math.nan
+    if not 0.0 <= wait_s < math.inf:
+        raise RequestError(f"wait: expected a finite number of seconds >= 0, got {raw!r}")
+    return wait_s
 
 
 class ServeHTTPServer(ThreadingHTTPServer):
@@ -132,6 +149,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    def _send_busy(self, error: QueueFull) -> None:
+        self._send_json(
+            429,
+            {"error": "queue full", "retry_after_s": error.retry_after_s},
+            headers={"Retry-After": format_retry_after(error.retry_after_s)},
+        )
+
     def _send_text(self, status: int, body: str, content_type: str) -> None:
         raw = body.encode()
         self._status = status
@@ -168,11 +192,7 @@ class _Handler(BaseHTTPRequestHandler):
         except RequestError as error:
             self._send_json(400, {"error": str(error)})
         except QueueFull as error:
-            self._send_json(
-                429,
-                {"error": "queue full", "retry_after_s": error.retry_after_s},
-                headers={"Retry-After": format_retry_after(error.retry_after_s)},
-            )
+            self._send_busy(error)
         except ServiceDraining as error:
             self._send_json(503, {"error": str(error)})
         else:
@@ -204,12 +224,17 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._send_json(200, snapshot)
             return
-        if self.path.startswith("/v1/jobs/"):
-            key = self.path[len("/v1/jobs/"):]
-            self._send_json(200, service.status(key))
-            return
         if self.path.startswith("/v1/result/"):
-            key = self.path[len("/v1/result/"):]
+            url = urlsplit(self.path)
+            key = url.path[len("/v1/result/"):]
+            try:
+                service.wait_for(key, _wait_seconds(url.query))
+            except RequestError as error:
+                self._send_json(400, {"error": str(error)})
+                return
+            except QueueFull as error:
+                self._send_busy(error)
+                return
             payload = service.result(key)
             if payload is not None:
                 self._send_json(200, payload)

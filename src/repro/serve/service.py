@@ -70,7 +70,8 @@ class ServeConfig:
     jobs: Optional[int] = None
     #: Result-store directory (``None``: ``~/.cache/repro/serve``).
     store_dir: Optional[Union[str, Path]] = None
-    #: Bounded queue capacity; submits beyond it get backpressure.
+    #: Bounded queue capacity; submits beyond it get backpressure.  It
+    #: also caps result fetches waiting at once (each holds a thread).
     queue_limit: int = 64
     #: ``Retry-After`` hint handed to backpressured clients.
     retry_after_s: float = 1.0
@@ -176,10 +177,11 @@ class SimService:
         self._cv = threading.Condition()
         self._queue: deque[Job] = deque()
         self._inflight: OrderedDict[str, Job] = OrderedDict()
-        #: Recently failed jobs, kept so pollers see the error instead
-        #: of "unknown" (bounded; oldest evicted first).
+        #: Recently failed jobs, kept so result fetches see the error
+        #: instead of "unknown" (bounded; oldest evicted first).
         self._failed: OrderedDict[str, Job] = OrderedDict()
         self._active = 0  # jobs drained from the queue, not yet finished
+        self._waiters = 0  # result fetches blocked in wait_for
         self._paused = False
         self._draining = False
         self._stop = False
@@ -358,7 +360,7 @@ class SimService:
         )
 
     def status(self, key: str) -> dict[str, Any]:
-        """Poll view of one job key (in-flight, done-on-disk or unknown)."""
+        """Status body of one job key (in-flight, done-on-disk or unknown)."""
         with self._cv:
             job = self._inflight.get(key) or self._failed.get(key)
             if job is not None:
@@ -370,6 +372,29 @@ class SimService:
     def result(self, key: str) -> Optional[dict[str, Any]]:
         """The stored payload for a completed key, else ``None``."""
         return self.store.get(key)
+
+    def wait_for(self, key: str, timeout: float) -> None:
+        """Block until the in-flight job for ``key`` settles, or ``timeout``.
+
+        Returns at once when nothing is in flight under ``key``.  Each
+        waiter holds an HTTP handler thread, so at most
+        ``config.queue_limit`` callers wait at a time.
+
+        Raises:
+            QueueFull: that many callers are already waiting.
+        """
+        with self._cv:
+            job = self._inflight.get(key)
+            if job is None or timeout <= 0:
+                return
+            if self._waiters >= self.config.queue_limit:
+                raise QueueFull(self.config.retry_after_s)
+            self._waiters += 1
+        try:
+            job.wait(timeout)
+        finally:
+            with self._cv:
+                self._waiters -= 1
 
     def metrics_snapshot(self) -> dict[str, Any]:
         """The metrics snapshot with latency-percentile gauges current.

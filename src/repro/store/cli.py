@@ -56,7 +56,7 @@ def sweep_main(argv: Optional[list[str]] = None) -> int:
         help="machine preset to sweep under (default: save)",
     )
     parser.add_argument(
-        "--engine", default="fast", choices=("exact", "fast", "analytic"),
+        "--engine", default="fast", choices=("exact", "fast"),
         help="simulation tier per point (default: fast)",
     )
     parser.add_argument(

@@ -62,7 +62,7 @@ class TestStreamSweep:
     def test_row_major_grid_order(self, tmp_path):
         stream_sweep(
             "resnet2_2_fwd", SAVE_2VPU, (0.0, 0.5), (0.0, 0.5), tmp_path,
-            engine="analytic", k_steps=4,
+            engine="fast", k_steps=4,
         )
         rows = list(SweepStore(tmp_path).query())
         assert [(r["bs"], r["nbs"]) for r in rows] == [
@@ -72,11 +72,11 @@ class TestStreamSweep:
     def test_summary_identity(self, tmp_path):
         summary = stream_sweep(
             "resnet2_2_fwd", BASELINE_2VPU, (0.0,), (0.0,), tmp_path,
-            engine="analytic", k_steps=4,
+            engine="fast", k_steps=4,
         )
         assert summary["kernel"] == "resnet2_2_fwd"
         assert summary["machine"] == machine_label(BASELINE_2VPU)
-        assert summary["engine"] == "analytic"
+        assert summary["engine"] == "fast"
         described = SweepStore(tmp_path).describe()
         assert described[0]["fingerprint"] == summary["fingerprint"]
 

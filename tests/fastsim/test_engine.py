@@ -1,4 +1,4 @@
-"""Fast/analytic engine behavior: tags, validation, determinism."""
+"""Fast engine behavior: tags, validation, determinism."""
 
 import pytest
 
@@ -28,11 +28,15 @@ def _config(bs=0.5, nbs=0.5, k_steps=4, name="resnet3_2_bwd_input"):
 
 class TestValidation:
     def test_engines_tuple(self):
-        assert ENGINES == ("exact", "fast", "analytic")
+        assert ENGINES == ("exact", "fast")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             validate_engine("turbo")
+
+    def test_analytic_tier_is_retired(self):
+        with pytest.raises(ValueError, match="unknown engine"):
+            validate_engine("analytic")
 
     def test_exact_engine_needs_a_trace(self):
         with pytest.raises(ValueError, match="exact"):
@@ -42,11 +46,6 @@ class TestValidation:
 class TestEngineTag:
     def test_fast_result_tagged(self):
         assert simulate_config(_config(), SAVE_2VPU, "fast").engine == "fast"
-
-    def test_analytic_result_tagged(self):
-        result = simulate_config(_config(), SAVE_2VPU, "analytic")
-        assert result.engine == "analytic"
-        assert result.cycles >= 1
 
     def test_exact_result_tagged_by_default(self):
         result = simulate(generate_gemm_trace(_config()), SAVE_2VPU)

@@ -5,7 +5,7 @@ chunked :class:`GeneratorTraceStream` must produce exactly the result
 of simulating the fully materialized :class:`KernelTrace`, on every
 generator and every engine tier.  These tests also pin the contract's
 edges: restartable passes, per-pass stats, chunk sizing, protocol
-conformance, and the ``.uops`` deprecation.
+conformance, and the removal of the old ``.uops`` property.
 """
 
 import dataclasses
@@ -183,11 +183,8 @@ class TestCountUopsIterable:
 
 
 class TestDeprecatedUopsProperty:
-    def test_uops_warns_and_matches_materialize(self):
-        trace = generate_trace(gemm_config())
-        with pytest.warns(DeprecationWarning, match="materialize"):
-            legacy = trace.uops
-        assert legacy == trace.materialize()
+    def test_uops_property_is_removed(self):
+        assert not hasattr(generate_trace(gemm_config()), "uops")
 
     def test_materialize_does_not_warn(self):
         trace = generate_trace(gemm_config())

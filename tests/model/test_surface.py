@@ -102,6 +102,29 @@ class TestSurfaceStore:
         store.get(TILE, Precision.FP32, BASELINE_2VPU, levels=(0.0,), k_steps=4)
         assert len(list(tmp_path.glob("*.json"))) == 2
 
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            SAVE_2VPU.with_save(mgu_count=1),
+            SAVE_2VPU.with_core(issue_width=2),
+            SAVE_2VPU.with_core(rs_entries=16),
+        ],
+        ids=["mgu_count", "issue_width", "rs_entries"],
+    )
+    def test_machines_sharing_a_label_get_their_own_surface(self, tmp_path, variant):
+        # machine_label omits these fields; the store must not.
+        assert machine_label(variant) == machine_label(SAVE_2VPU)
+        store = SurfaceStore(tmp_path)
+        args = (TILE, Precision.FP32)
+        kwargs = dict(levels=(0.0, 0.5), k_steps=4)
+        base = store.get(*args, SAVE_2VPU, **kwargs)
+        built = SparsitySurface.build(*args, variant, **kwargs)
+        assert not np.array_equal(built.ns_per_fma, base.ns_per_fma)
+        for fresh in (store, SurfaceStore(tmp_path)):
+            got = fresh.get(*args, variant, **kwargs)
+            assert np.array_equal(got.ns_per_fma, built.ns_per_fma)
+        assert len(list(tmp_path.glob("*.json"))) == 2
+
     def test_memory_cache(self, tmp_path):
         store = SurfaceStore(tmp_path)
         a = store.get(TILE, Precision.FP32, SAVE_2VPU, levels=(0.0, 0.9), k_steps=4)

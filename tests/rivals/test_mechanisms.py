@@ -54,14 +54,14 @@ class TestValidation:
             validate_mechanism("sparta")
 
     @pytest.mark.parametrize("mechanism", ["sparce", "indexmac"])
-    @pytest.mark.parametrize("engine", ["fast", "analytic"])
+    @pytest.mark.parametrize("engine", ["fast"])
     def test_rivals_are_exact_only(self, mechanism, engine):
         with pytest.raises(MechanismError, match="exact"):
             resolve_mechanism(mechanism, nm_config(), SAVE_2VPU, engine)
 
     def test_save_passes_any_engine(self):
         config = nm_config()
-        for engine in ("exact", "fast", "analytic"):
+        for engine in ("exact", "fast"):
             out_config, out_machine = resolve_mechanism(
                 "save", config, SAVE_2VPU, engine
             )

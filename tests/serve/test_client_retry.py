@@ -1,22 +1,21 @@
-"""Client backpressure/backoff behaviour, with a fake clock throughout.
+"""Client retry behaviour, with a fake clock throughout.
 
 No sockets and no real sleeping: ``_call`` is stubbed per scenario and
 ``repro.serve.client.time`` is replaced by a fake whose ``sleep``
-advances a virtual clock, so the backoff schedule itself is asserted.
+advances a virtual clock.  A stubbed result fetch also advances the
+clock by the wait it asked the server for, as a fetch of a job that
+stays in flight would.
 """
 
 import io
 import json
 import urllib.error
+from urllib.parse import parse_qs, urlsplit
 
 import pytest
 
 from repro.serve import client as client_mod
 from repro.serve.client import (
-    POLL_GROWTH,
-    POLL_INITIAL_S,
-    POLL_JITTER_LOW,
-    POLL_MAX_S,
     Backpressure,
     ClientError,
     JobFailed,
@@ -40,22 +39,6 @@ class FakeTime:
         self.now += seconds
 
 
-class MaxJitter:
-    """An rng whose uniform draw always lands on the band's top."""
-
-    def uniform(self, low, high):
-        assert low == POLL_JITTER_LOW and high == 1.0
-        return high
-
-
-class FixedJitter:
-    def __init__(self, value):
-        self.value = value
-
-    def uniform(self, low, high):
-        return self.value
-
-
 @pytest.fixture
 def clock(monkeypatch):
     fake = FakeTime()
@@ -63,13 +46,14 @@ def clock(monkeypatch):
     return fake
 
 
-def scripted_client(script, clock, rng=None):
+def scripted_client(script, clock, timeout=10.0):
     """A client whose ``_call`` pops canned responses/exceptions.
 
     ``script`` maps ``(method, path_prefix)`` to a list; exceptions are
     raised, everything else returned.  Lists stick on their last entry.
+    A fetch answered 409 first spends its whole wait on the clock.
     """
-    client = ServeClient("http://test", rng=rng or MaxJitter())
+    client = ServeClient("http://test", timeout=timeout)
     calls = []
 
     def _call(method, path, body=None):
@@ -77,6 +61,8 @@ def scripted_client(script, clock, rng=None):
         for (m, prefix), responses in script.items():
             if method == m and path.startswith(prefix):
                 response = responses.pop(0) if len(responses) > 1 else responses[0]
+                if isinstance(response, ClientError) and response.status == 409:
+                    clock.now += float(parse_qs(urlsplit(path).query)["wait"][0])
                 if isinstance(response, Exception):
                     raise response
                 return response
@@ -87,18 +73,21 @@ def scripted_client(script, clock, rng=None):
     return client
 
 
+def in_flight():
+    return ClientError(409, "job in flight")
+
+
 class TestSubmitBackpressure:
     def test_retry_after_is_honoured_including_fractions(self, clock):
         client = scripted_client({
             ("POST", "/v1/submit"): [
                 Backpressure(0.25), Backpressure(0.25), {"job": "k"},
             ],
-            ("GET", "/v1/jobs/"): [{"status": "done"}],
             ("GET", "/v1/result/"): [{"values": [1.0]}],
         }, clock)
         assert client.run({"r": 1}, timeout=60) == {"values": [1.0]}
         # The two backpressured submits slept exactly the server's hint.
-        assert clock.sleeps[:2] == [0.25, 0.25]
+        assert clock.sleeps == [0.25, 0.25]
 
     def test_backpressured_submit_times_out_cleanly(self, clock):
         client = scripted_client(
@@ -126,94 +115,72 @@ class TestSubmitBackpressure:
             ServeClient("http://test").submit({"r": 1})
 
 
-class TestPollBackoff:
-    def pending_then_done(self, clock, n_pending, rng=None, timeout=120.0):
+class TestBlockingFetch:
+    def test_one_submit_and_one_fetch(self, clock):
         client = scripted_client({
-            ("GET", "/v1/jobs/"): (
-                [{"status": "pending"}] * n_pending + [{"status": "done"}]
-            ),
             ("POST", "/v1/submit"): [{"job": "k"}],
-            ("GET", "/v1/result/"): [{"ok": True}],
-        }, clock, rng=rng)
-        return client.run({"r": 1}, timeout=timeout)
-
-    def test_delays_grow_exponentially_to_the_cap(self, clock):
-        self.pending_then_done(clock, n_pending=10)
-        expected, delay = [], POLL_INITIAL_S
-        for _ in range(10):
-            expected.append(delay)
-            delay = min(delay * POLL_GROWTH, POLL_MAX_S)
-        assert clock.sleeps == pytest.approx(expected)
-        assert max(clock.sleeps) == POLL_MAX_S
-
-    def test_jitter_scales_within_the_band(self, clock):
-        self.pending_then_done(
-            clock, n_pending=3, rng=FixedJitter(POLL_JITTER_LOW)
-        )
-        expected = [
-            POLL_INITIAL_S * POLL_JITTER_LOW,
-            POLL_INITIAL_S * POLL_GROWTH * POLL_JITTER_LOW,
-            POLL_INITIAL_S * POLL_GROWTH**2 * POLL_JITTER_LOW,
+            ("GET", "/v1/result/"): [{"values": [1.0]}],
+        }, clock)
+        assert client.run({"r": 1}) == {"values": [1.0]}
+        assert [(m, p) for m, p, _ in client.calls] == [
+            ("POST", "/v1/submit"), ("GET", "/v1/result/k?wait=5"),
         ]
-        assert clock.sleeps == pytest.approx(expected)
+        assert clock.sleeps == []
 
-    def test_default_rng_jitter_stays_in_band(self, clock):
-        client = scripted_client({
-            ("GET", "/v1/jobs/"): [{"status": "pending"}] * 6 + [{"status": "done"}],
-            ("POST", "/v1/submit"): [{"job": "k"}],
-            ("GET", "/v1/result/"): [{"ok": True}],
-        }, clock, rng=ServeClient("http://x").rng)
-        client.run({"r": 1}, timeout=120)
-        delay = POLL_INITIAL_S
-        for slept in clock.sleeps:
-            assert POLL_JITTER_LOW * delay - 1e-12 <= slept <= delay + 1e-12
-            delay = min(delay * POLL_GROWTH, POLL_MAX_S)
+    def test_fetch_waits_half_the_socket_timeout(self, clock):
+        client = scripted_client(
+            {("GET", "/v1/result/"): [{"ok": True}]}, clock, timeout=0.4
+        )
+        client.result("k")
+        assert client.calls[0][1] == "/v1/result/k?wait=0.2"
 
-    def test_never_polls_or_sleeps_past_the_deadline(self, clock):
+    def test_in_flight_fetch_is_repeated_without_sleeping(self, clock):
         client = scripted_client({
-            ("GET", "/v1/jobs/"): [{"status": "pending"}],
             ("POST", "/v1/submit"): [{"job": "k"}],
+            ("GET", "/v1/result/"): [in_flight(), in_flight(), {"ok": True}],
         }, clock)
+        assert client.run({"r": 1}, timeout=60) == {"ok": True}
+        submits = [p for m, p, _ in client.calls if m == "POST"]
+        assert len(submits) == 1
+        assert clock.sleeps == []
+
+    def test_fetch_backpressure_is_honoured_like_a_submit(self, clock):
+        client = scripted_client({
+            ("POST", "/v1/submit"): [{"job": "k"}],
+            ("GET", "/v1/result/"): [Backpressure(0.25), {"ok": True}],
+        }, clock)
+        assert client.run({"r": 1}, timeout=60) == {"ok": True}
+        assert clock.sleeps == [0.25]
+        # The job was not resubmitted: only the fetch was retried.
+        assert [m for m, _, _ in client.calls] == ["POST", "GET", "GET"]
+
+    def test_fetch_backpressure_times_out_cleanly(self, clock):
+        client = scripted_client({
+            ("POST", "/v1/submit"): [{"job": "k"}],
+            ("GET", "/v1/result/"): [Backpressure(10.0)],
+        }, clock)
+        with pytest.raises(TimeoutError, match="still backpressured"):
+            client.run({"r": 1}, timeout=1.0)
+        assert clock.now - 1000.0 <= 1.0 + 1e-9
+
+    def test_deadline_overrun_is_at_most_one_wait(self, clock):
+        client = scripted_client({
+            ("POST", "/v1/submit"): [{"job": "k"}],
+            ("GET", "/v1/result/"): [in_flight()],
+        }, clock, timeout=10.0)
         with pytest.raises(TimeoutError, match="not done after"):
-            client.run({"r": 1}, timeout=2.0)
-        assert clock.now - 1000.0 <= 2.0 + 1e-9
-        # Every status probe happened strictly before the deadline.
-        polls = [t for m, p, t in client.calls if p.startswith("/v1/jobs/")]
-        assert all(t <= 1000.0 + 2.0 for t in polls)
-
-    def test_timeout_raised_before_a_sleep_that_cannot_complete(self, clock):
-        client = scripted_client({
-            ("GET", "/v1/jobs/"): [{"status": "pending"}],
-            ("POST", "/v1/submit"): [{"job": "k"}],
-        }, clock)
-        with pytest.raises(TimeoutError):
-            client.run({"r": 1}, timeout=0.5)
-        # The final wake-up found the deadline passed and raised instead
-        # of sleeping again: total virtual time never exceeds timeout.
-        assert sum(clock.sleeps) <= 0.5 + 1e-9
-
-    def test_explicit_poll_interval_seeds_the_backoff(self, clock):
-        self.pending_then_done(clock, n_pending=2)
-        first_default = clock.sleeps[0]
-        clock.sleeps = []
-        client = scripted_client({
-            ("GET", "/v1/jobs/"): [{"status": "pending"}] * 2 + [{"status": "done"}],
-            ("POST", "/v1/submit"): [{"job": "k"}],
-            ("GET", "/v1/result/"): [{"ok": True}],
-        }, clock)
-        client.run({"r": 1}, timeout=60, poll_interval=0.2)
-        assert first_default == pytest.approx(POLL_INITIAL_S)
-        assert clock.sleeps[0] == pytest.approx(0.2)
-        assert clock.sleeps[1] == pytest.approx(0.4)
+            client.run({"r": 1}, timeout=12.0)
+        # Fetches started at 0, 5 and 10 s; the last ran to 15 s.
+        fetches = [t - 1000.0 for m, _, t in client.calls if m == "GET"]
+        assert fetches == [0.0, 5.0, 10.0]
+        assert clock.now - 1000.0 <= 12.0 + 5.0
 
 
 class TestTerminalStates:
     def test_failed_job_raises_job_failed(self, clock):
         client = scripted_client({
             ("POST", "/v1/submit"): [{"job": "k"}],
-            ("GET", "/v1/jobs/"): [
-                {"status": "failed", "error": "boom"},
-            ],
+            ("GET", "/v1/result/"): [ClientError(500, "boom")],
         }, clock)
         with pytest.raises(JobFailed, match="boom"):
             client.run({"r": 1}, timeout=10)
@@ -221,7 +188,8 @@ class TestTerminalStates:
     def test_vanished_job_raises_client_error(self, clock):
         client = scripted_client({
             ("POST", "/v1/submit"): [{"job": "k"}],
-            ("GET", "/v1/jobs/"): [{"status": "unknown"}],
+            ("GET", "/v1/result/"): [ClientError(404, "unknown")],
         }, clock)
-        with pytest.raises(ClientError, match="disappeared"):
+        with pytest.raises(ClientError) as exc:
             client.run({"r": 1}, timeout=10)
+        assert exc.value.status == 404

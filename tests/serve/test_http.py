@@ -4,7 +4,8 @@ The acceptance scenario lives here: concurrent identical submits
 trigger exactly one simulation and every client reads byte-identical
 result bodies; a resubmit against a *restarted* service is served from
 the on-disk store without re-simulating; the queue backpressures with
-429 + ``Retry-After``; shutdown drains cleanly.
+429 + ``Retry-After``; shutdown drains cleanly.  A result fetch with
+``?wait=S`` blocks on the job until it settles, within a waiter cap.
 """
 
 import json
@@ -16,7 +17,7 @@ import urllib.request
 
 import pytest
 
-from repro.serve.client import Backpressure, ClientError, ServeClient
+from repro.serve.client import Backpressure, ClientError, JobFailed, ServeClient
 from repro.serve.http import make_server
 from repro.serve.service import ServeConfig, SimService
 
@@ -37,12 +38,12 @@ def body(bs=0.3, nbs=0.6, **overrides):
 class LiveService:
     """A service + HTTP server on an ephemeral port, as a context."""
 
-    def __init__(self, tmp_path, **config_overrides):
+    def __init__(self, tmp_path, executor=None, **config_overrides):
         defaults = dict(
             port=0, store_dir=tmp_path, batch_window_s=0.0, drain_timeout_s=30.0
         )
         defaults.update(config_overrides)
-        self.service = SimService(ServeConfig(**defaults))
+        self.service = SimService(ServeConfig(**defaults), executor=executor)
         self.server = None
         self.thread = None
         self.base_url = None
@@ -67,12 +68,19 @@ class LiveService:
     def client(self):
         return ServeClient(self.base_url)
 
-    def raw_result(self, key):
+    def raw_result(self, key, query=""):
         """The exact bytes of a result body (bit-identity checks)."""
         with urllib.request.urlopen(
-            f"{self.base_url}/v1/result/{key}", timeout=10
+            f"{self.base_url}/v1/result/{key}{query}", timeout=10
         ) as reply:
             return reply.read()
+
+    def wait_for_waiters(self, count):
+        """Spin until ``count`` result fetches are blocked server-side."""
+        deadline = time.monotonic() + 10
+        while self.service._waiters != count:
+            assert time.monotonic() < deadline, "fetch never started waiting"
+            time.sleep(0.005)
 
     def counter(self, name):
         return self.service.metrics.snapshot()["counters"].get(name, 0)
@@ -106,8 +114,6 @@ class TestLifecycle:
             assert live.counter("serve.dedup_hits") == 1
             key = keys.pop()
             live.service.resume()
-            while client.poll(key)["status"] not in ("done", "failed"):
-                time.sleep(0.01)
             payload = client.result(key)
             assert payload["key"] == key
             assert live.counter("serve.simulated_points") == 1
@@ -136,8 +142,7 @@ class TestLifecycle:
             ]
             live.service.resume()
             for key in keys:
-                while client.poll(key)["status"] not in ("done", "failed"):
-                    time.sleep(0.01)
+                client.result(key)
             width = client.metrics()["histograms"]["serve.batch_width"]
             assert width["max"] >= 3
             assert live.counter("serve.batches") == 1
@@ -167,9 +172,16 @@ class TestHttpErrors:
             live.service.pause()
             key = live.client().submit(body())["job"]
             with pytest.raises(ClientError) as exc:
-                live.client().result(key)
+                live.client()._call("GET", f"/v1/result/{key}")
             assert exc.value.status == 409
             live.service.resume()
+
+    def test_jobs_route_is_gone(self, tmp_path):
+        with LiveService(tmp_path) as live:
+            key = live.client().submit(body())["job"]
+            with pytest.raises(ClientError) as exc:
+                live.client()._call("GET", f"/v1/jobs/{key}")
+            assert exc.value.status == 404
 
     def test_backpressure_is_429_with_retry_after(self, tmp_path):
         with LiveService(tmp_path, queue_limit=1, retry_after_s=3.0) as live:
@@ -182,6 +194,7 @@ class TestHttpErrors:
             )
             with pytest.raises(urllib.error.HTTPError) as exc:
                 urllib.request.urlopen(request, timeout=10)
+            exc.value.close()
             assert exc.value.code == 429
             assert exc.value.headers["Retry-After"] == "3"
             # The client maps it to Backpressure with the hint.
@@ -196,6 +209,90 @@ class TestHttpErrors:
             assert live.client().healthz()["status"] == "draining"
             with pytest.raises(Backpressure):
                 live.client().submit(body())
+
+
+class TestBlockingFetch:
+    def test_waiting_fetch_returns_payload_once_resumed(self, tmp_path):
+        with LiveService(tmp_path) as live:
+            live.service.pause()
+            key = live.client().submit(body())["job"]
+            bodies = []
+            waiter = threading.Thread(
+                target=lambda: bodies.append(live.raw_result(key, "?wait=5"))
+            )
+            waiter.start()
+            live.wait_for_waiters(1)
+            assert not bodies
+            live.service.resume()
+            waiter.join(timeout=10)
+            assert not waiter.is_alive()
+            assert json.loads(bodies[0])["key"] == key
+            # Byte-identical to a later plain fetch.
+            assert bodies[0] == live.raw_result(key)
+
+    def test_expired_wait_is_409(self, tmp_path):
+        with LiveService(tmp_path) as live:
+            live.service.pause()
+            key = live.client().submit(body())["job"]
+            start = time.monotonic()
+            with pytest.raises(ClientError) as exc:
+                ServeClient(live.base_url, timeout=0.4).result(key)
+            assert exc.value.status == 409
+            assert time.monotonic() - start >= 0.2  # the server waited
+            live.service.resume()
+
+    def test_waiter_beyond_the_cap_is_429(self, tmp_path):
+        with LiveService(tmp_path, queue_limit=1, retry_after_s=3.0) as live:
+            live.service.pause()
+            key = live.client().submit(body())["job"]
+            first = threading.Thread(target=live.raw_result, args=(key, "?wait=5"))
+            first.start()
+            live.wait_for_waiters(1)
+            with pytest.raises(urllib.error.HTTPError) as exc:
+                live.raw_result(key, "?wait=5")
+            exc.value.close()
+            assert exc.value.code == 429
+            assert exc.value.headers["Retry-After"] == "3"
+            live.service.resume()
+            first.join(timeout=10)
+            assert not first.is_alive()
+            assert live.service._waiters == 0
+
+    @pytest.mark.parametrize("wait", ["-1", "abc"])
+    def test_malformed_wait_is_400(self, tmp_path, wait):
+        with LiveService(tmp_path) as live:
+            with pytest.raises(ClientError) as exc:
+                live.client()._call("GET", f"/v1/result/{'f' * 24}?wait={wait}")
+            assert exc.value.status == 400
+
+    def test_failed_job_wakes_its_waiter_with_500(self, tmp_path):
+        class ExplodingExecutor:
+            def map(self, jobs):
+                raise RuntimeError("boom")
+
+            def close(self):
+                pass
+
+        with LiveService(tmp_path, executor=ExplodingExecutor()) as live:
+            live.service.pause()
+            key = live.client().submit(body())["job"]
+            errors = []
+
+            def fetch():
+                try:
+                    live.client().result(key)
+                except JobFailed as error:
+                    errors.append(error)
+
+            waiter = threading.Thread(target=fetch)
+            start = time.monotonic()
+            waiter.start()
+            live.wait_for_waiters(1)
+            live.service.resume()
+            waiter.join(timeout=10)
+            assert not waiter.is_alive()
+            assert "boom" in str(errors[0])
+            assert time.monotonic() - start < 5  # woken, not timed out
 
 
 class TestListenBacklog:

@@ -1,6 +1,8 @@
 """Tests for the service core: dedup, batching, caching, drain."""
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -258,3 +260,38 @@ class TestBackpressureAndDrain:
             assert outcome == "accepted"
         finally:
             service.close()
+
+
+class TestWaitFor:
+    def test_returns_at_once_when_nothing_is_in_flight(self, tmp_path):
+        with make_service(tmp_path) as service:
+            service.wait_for("f" * 24, 30)  # would hang 30 s if it waited
+            assert service._waiters == 0
+
+    def test_concurrent_waiters_all_wake_and_are_all_counted_out(self, tmp_path):
+        # More waiter threads than cores with a tiny switch interval: a
+        # lost update to the waiter count would leave it non-zero.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with make_service(tmp_path, queue_limit=64) as service:
+                service.pause()
+                job, _ = service.submit(parse_request(body()))
+                threads = [
+                    threading.Thread(target=service.wait_for, args=(job.key, 30))
+                    for _ in range(32)
+                ]
+                for thread in threads:
+                    thread.start()
+                deadline = time.monotonic() + 10
+                while service._waiters != len(threads):
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+                service.resume()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                assert job.state == "done"
+                assert service._waiters == 0
+        finally:
+            sys.setswitchinterval(previous)

@@ -16,7 +16,7 @@ def swept_store(tmp_path_factory):
             "--store", str(root),
             "--grid", "4",
             "--k-steps", "4",
-            "--engine", "analytic",
+            "--engine", "fast",
         ]
     )
     assert code == 0
@@ -35,7 +35,7 @@ class TestSweepMain:
                 "--store", str(swept_store),
                 "--grid", "4",
                 "--k-steps", "4",
-                "--engine", "analytic",
+                "--engine", "fast",
             ]
         )
         assert code == 1
@@ -48,7 +48,7 @@ class TestSweepMain:
                 "--store", str(tmp_path),
                 "--grid", "2",
                 "--k-steps", "4",
-                "--engine", "analytic",
+                "--engine", "fast",
                 "--machine", "baseline",
             ]
         )
