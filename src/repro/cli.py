@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "simulation tier: 'exact' is the cycle-level pipeline; "
             "'fast' is the calibrated structure-of-arrays estimator "
-            "(~10-100x faster per point)"
+            "(~100x faster per point, ~500x in batched sweeps)"
         ),
     )
     parser.add_argument(

@@ -26,10 +26,11 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 from collections.abc import Iterable, Sequence
 
 from repro.core.config import MachineConfig
+from repro.kernels.gemm import GemmKernelConfig
 from repro.obs import (
     Instrumentation,
     MetricsRegistry,
@@ -37,6 +38,9 @@ from repro.obs import (
     TraceSink,
     maybe_span,
 )
+
+if TYPE_CHECKING:
+    from repro.core.pipeline import SimResult
 
 #: Environment fallback for the worker count (the CLI's ``--jobs``
 #: takes precedence).
@@ -79,7 +83,8 @@ class PointJob:
     machine: MachineConfig
     metric: str = METRIC_TIME_NS
     #: Engine tier ("exact" or "fast").  The fast tier estimates from
-    #: the seeded config directly — no trace, no instrumentation.
+    #: the seeded config directly — no trace, no instrumentation — and
+    #: takes only a ``GemmKernelConfig``.
     engine: str = "exact"
     #: Skip mechanism ("save", "sparce", "indexmac") — resolved to a
     #: (config, machine) transform by :mod:`repro.rivals.mechanisms`
@@ -117,6 +122,10 @@ class PointJob:
                 trace_stream(config), machine,
                 keep_state=False, obs=obs,
             )
+        return self.value(result)
+
+    def value(self, result: SimResult) -> float:
+        """This job's metric of a :class:`repro.core.pipeline.SimResult`."""
         if self.metric == METRIC_NS_PER_FMA:
             return result.time_ns / result.fma_count
         return result.time_ns
@@ -138,9 +147,55 @@ class PointJob:
         return value, obs.snapshot()
 
 
+def job_runs(
+    chunk: Sequence[tuple[int, PointJob]],
+) -> list[list[tuple[int, PointJob]]]:
+    """Split (index, job) pairs into runs, in order.
+
+    Consecutive jobs on the fast engine with the ``save`` mechanism, a
+    :class:`GemmKernelConfig`, and equal machine and metric form one
+    run, which :func:`run_jobs` evaluates as one
+    :func:`repro.fastsim.simulate_configs` batch; every other job is a
+    run of its own.
+    """
+    runs: list[list[tuple[int, PointJob]]] = []
+    previous: Optional[tuple] = None
+    for item in chunk:
+        job = item[1]
+        batched = job.engine == "fast" and job.mechanism == "save"
+        if batched and isinstance(job.config, GemmKernelConfig):
+            key = (job.machine, job.metric)
+        else:
+            key = None
+        if key is not None and key == previous:
+            runs[-1].append(item)
+        else:
+            runs.append([item])
+        previous = key
+    return runs
+
+
+def run_jobs(jobs: Sequence[PointJob]) -> list[float]:
+    """Values of one run from :func:`job_runs`, in job order."""
+    first = jobs[0]
+    if len(jobs) == 1:
+        return [first.run()]
+    from repro.fastsim import simulate_configs
+
+    results = simulate_configs(
+        [job.config for job in jobs], first.machine, first.engine
+    )
+    return [first.value(result) for result in results]
+
+
 def _run_chunk(chunk: list[tuple[int, PointJob]]) -> list[tuple[int, float]]:
-    """Worker entry point: run one chunk of (index, job) pairs."""
-    return [(index, job.run()) for index, job in chunk]
+    """Worker entry point: run one chunk of (index, job) pairs, a run
+    (see :func:`job_runs`) at a time."""
+    return [
+        (index, value)
+        for run in job_runs(chunk)
+        for (index, _), value in zip(run, run_jobs([job for _, job in run]))
+    ]
 
 
 def _run_chunk_instrumented(
@@ -289,9 +344,9 @@ class SimExecutor:
         ):
             if self.instrumented:
                 return self._map_instrumented(jobs)
-            if not self.parallel or len(jobs) == 1:
-                return [job.run() for job in jobs]
             indexed = list(enumerate(jobs))
+            if not self.parallel or len(jobs) == 1:
+                return [value for _, value in _run_chunk(indexed)]
             chunks = self._chunks(indexed)
             completed = self._run_chunks(_run_chunk, chunks)
             return merge_indexed(completed, len(jobs))
@@ -301,13 +356,16 @@ class SimExecutor:
     ) -> tuple[list[float], list[float]]:
         """Like :meth:`map`, plus a per-job wall-clock span list.
 
-        Spans are measured *inside* the worker around each ``job.run()``
-        (see :func:`repro.obs.telemetry.run_chunk_timed`), so the serve
+        Spans are measured *inside* the worker (see
+        :func:`repro.obs.telemetry.run_chunk_timed`), so the serve
         layer's ``sim`` telemetry events report true simulation time for
         each point even when the batch crossed the process-pool
-        boundary — not pool round-trip time.  Values come back in job
-        order like every other path; ``walls[i]`` pairs with
-        ``values[i]``.
+        boundary — not pool round-trip time.  An exact job's span is
+        measured around that job alone; the points of a fast-tier batch
+        (see :func:`job_runs`) each get the batch's wall divided by its
+        size, so a batch's spans sum to its measured wall.  Values come
+        back in job order like every other path; ``walls[i]`` pairs
+        with ``values[i]``.
         """
         # Lazy import: telemetry is the wall-clock layer, and this
         # module stays inside the no-wallclock determinism scope.
@@ -368,6 +426,8 @@ __all__ = [
     "SERIAL_EXECUTOR",
     "SimExecutor",
     "default_executor",
+    "job_runs",
     "merge_indexed",
     "resolve_jobs",
+    "run_jobs",
 ]

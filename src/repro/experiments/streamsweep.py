@@ -79,7 +79,9 @@ def stream_sweep(
             that makes six-figure grids practical).
         mechanism: skip mechanism for every point; rivals require
             ``engine="exact"`` (validated up front, before any store
-            directory is created).
+            directory is created).  So do N:M kernels, which the fast
+            tier rejects with
+            :class:`repro.fastsim.UnsupportedConfigError`.
         metric: per-point value recorded (``ns_per_fma`` or ``time_ns``).
         overwrite: replace an existing sweep with the same identity.
 
@@ -89,17 +91,18 @@ def stream_sweep(
         raise ValueError("batch_points must be positive")
     spec = get_kernel(kernel)
     resolved = precision if precision is not None else spec.default_precision
+    # Fail before the store directory exists: validates the mechanism
+    # name, the engine pairing, and the config/mechanism and
+    # config/engine compatibility.
+    sample = spec.config(precision=resolved, k_steps=k_steps, seed=seed)
     if mechanism != "save":
-        # Fail before the store directory exists: validates the name,
-        # the engine pairing, and the config/mechanism compatibility.
         from repro.rivals.mechanisms import resolve_mechanism
 
-        resolve_mechanism(
-            mechanism,
-            spec.config(precision=resolved, k_steps=k_steps, seed=seed),
-            machine,
-            engine,
-        )
+        resolve_mechanism(mechanism, sample, machine, engine)
+    if engine == "fast":
+        from repro.fastsim import check_fast_config
+
+        check_fast_config(sample)
     label = machine_label(machine)
     meta = {
         "kernel": spec.name,

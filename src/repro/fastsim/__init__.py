@@ -1,4 +1,4 @@
-"""Batched fast-path simulation tiers (the ROADMAP's 10–100× item).
+"""Batched fast-path simulation tiers.
 
 Two engine tiers, selected by the ``engine=`` parameter threaded
 through :func:`repro.core.pipeline.simulate`, :class:`PointJob`,
@@ -7,9 +7,12 @@ through :func:`repro.core.pipeline.simulate`, :class:`PointJob`,
 * ``"exact"`` — the cycle-level out-of-order pipeline in
   :mod:`repro.core` (bit-for-bit reference, unchanged);
 * ``"fast"`` — structure-of-arrays bound-and-bottleneck estimation
-  (:mod:`repro.fastsim.engine`), calibrated per kernel class against
+  (:mod:`repro.fastsim.engine`), vectorised over batches of grid points
+  (:func:`simulate_configs`), calibrated per kernel class against
   the exact model (:mod:`repro.fastsim.calibration`); error budget
   ≤ 5% median / ≤ 15% p95 relative cycle error on the full grid.
+  Unstructured GEMM kernels only: any other config raises
+  :class:`UnsupportedConfigError`.
 
 Every :class:`repro.core.pipeline.SimResult` carries an ``engine`` tag
 so tiers never mix silently in surfaces or stores.
@@ -25,11 +28,17 @@ from repro.fastsim.engine import (
     class_key,
     simulate_arrays,
     simulate_config,
+    simulate_configs,
     simulate_stream,
     simulate_trace,
     validate_engine,
 )
-from repro.fastsim.soa import TraceArrays
+from repro.fastsim.soa import (
+    TraceArrays,
+    TraceBatch,
+    UnsupportedConfigError,
+    check_fast_config,
+)
 
 __all__ = [
     "ENGINES",
@@ -38,10 +47,14 @@ __all__ = [
     "FASTSIM_MODEL_VERSION",
     "BoundBreakdown",
     "TraceArrays",
+    "TraceBatch",
+    "UnsupportedConfigError",
     "bounds",
+    "check_fast_config",
     "class_key",
     "simulate_arrays",
     "simulate_config",
+    "simulate_configs",
     "simulate_stream",
     "simulate_trace",
     "validate_engine",

@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.core.config import BASELINE_2VPU, SAVE_1VPU, SAVE_2VPU, MachineConfig
 from repro.fastsim import engine as fast_engine
-from repro.fastsim.soa import TraceArrays
 from repro.kernels.library import KERNEL_LIBRARY, KernelSpec
 
 __all__ = [
@@ -182,10 +181,8 @@ def run_calibration(
         )
         x = np.stack(
             [
-                fast_engine.features(
-                    fast_engine.bounds(TraceArrays.from_config(config), machine)
-                )
-                for config in configs
+                fast_engine.features(breakdown)
+                for breakdown in fast_engine.config_bounds(configs, machine)
             ]
         )
         if fit:

@@ -20,10 +20,19 @@ representation and predicts cycles from them:
 The raw estimate is ``max(bounds)``; the calibrated estimate is a
 per-kernel-class linear blend of the bounds fitted against the exact
 model (see :mod:`repro.fastsim.calibration`).
+
+Each bound has one implementation, over a :class:`TraceBatch`'s leading
+point axis: :func:`simulate_configs` evaluates a whole run of grid
+points per numpy pass, and the single-point functions
+(:func:`bounds`, :func:`simulate_arrays`, :func:`simulate_config`) are
+batches of one.  Per-slot and per-chain sums are integer-valued, so the
+batched sums are exact; the calibrated blend and the rounding to cycles
+stay per point, in the same arithmetic as a single-point call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +40,7 @@ import numpy as np
 from repro.core.config import CoalescingScheme, MachineConfig
 from repro.core.pipeline import SimResult
 from repro.core.save.rotate import rotation_offset, slot_for_lane
-from repro.fastsim.soa import TraceArrays
+from repro.fastsim.soa import TraceArrays, TraceBatch
 from repro.isa.datatypes import FP32_LANES
 from repro.kernels.gemm import GemmKernelConfig
 from repro.kernels.stream import TraceStream
@@ -48,9 +57,11 @@ __all__ = [
     "BoundBreakdown",
     "bounds",
     "class_key",
+    "config_bounds",
     "features",
     "simulate_arrays",
     "simulate_config",
+    "simulate_configs",
     "simulate_stream",
     "simulate_trace",
     "validate_engine",
@@ -119,124 +130,151 @@ class BoundBreakdown:
         return max(pairs, key=lambda pair: pair[1])[0]
 
 
-def _frontend_bound(arrays: TraceArrays, machine: MachineConfig) -> float:
-    return arrays.uop_count / machine.core.issue_width
+# Each bound returns one value per point of the batch, or a float when
+# the bound does not depend on the sparsity pattern.
 
 
-def _slot_indices(arrays: TraceArrays, machine: MachineConfig) -> np.ndarray:
-    """Temp-slot index per (row, col_vector, lane) under rotation."""
-    rows, cv = arrays.tile.rows, arrays.tile.col_vectors
-    offsets = np.zeros((rows, cv), dtype=np.int64)
+def _frontend_bound(batch: TraceBatch, machine: MachineConfig) -> float:
+    return batch.uop_count / machine.core.issue_width
+
+
+def _slot_index(batch: TraceBatch, machine: MachineConfig) -> np.ndarray:
+    """Temp slot of every (point, accumulator, lane) under rotation,
+    numbered ``point * 16 + slot``: ``np.bincount`` over it sums each
+    point's per-lane counts into its 16 slots."""
+    offsets = [0] * batch.accumulators
     if machine.save.coalescing == CoalescingScheme.ROTATE_VERTICAL:
-        for r in range(rows):
-            for j in range(cv):
-                # Accumulator registers are allocated row-major by the
-                # trace builder, so (r, j) accumulates into register
-                # r * col_vectors + j.
-                offsets[r, j] = rotation_offset(
-                    r * cv + j, machine.save.rotation_states
-                )
-    lanes = np.arange(FP32_LANES, dtype=np.int64)
-    slots = (lanes[None, None, :] + offsets[:, :, None]) % FP32_LANES
-    assert slot_for_lane(0, int(offsets[0, 0])) == int(slots[0, 0, 0])
-    return slots
+        # Accumulator registers are allocated row-major by the trace
+        # builder, so (r, j) accumulates into register r * col_vectors
+        # + j, the accumulator axis order of ``effectual``.
+        offsets = [
+            rotation_offset(register, machine.save.rotation_states)
+            for register in range(batch.accumulators)
+        ]
+    slots = slot_for_lane(np.arange(FP32_LANES), np.array(offsets)[:, None])
+    first = np.arange(0, FP32_LANES * len(batch), FP32_LANES)
+    return np.add.outer(first, slots.ravel()).ravel()
 
 
-def _vpu_bound(arrays: TraceArrays, machine: MachineConfig) -> float:
+def _chain_entries(ml_count: np.ndarray) -> np.ndarray:
+    """Slot entries of each lane's ML chain over the steps on axis 1: a
+    chain drains two reduction levels per entry."""
+    return (ml_count.sum(axis=1, dtype=np.int64) + 1) // 2
+
+
+def _vpu_bound(batch: TraceBatch, machine: MachineConfig) -> np.ndarray | float:
     core, save = machine.core, machine.save
     if not save.enabled:
-        return arrays.fma_count / core.num_vpus
+        return batch.fma_count / core.num_vpus
     if save.coalescing == CoalescingScheme.NAIVE:
         # No cross-instruction combining: every non-BS-skipped VFMA is
         # a whole VPU op.
-        return (arrays.fma_count - arrays.skipped_fmas) / core.num_vpus
-    mp_chains = arrays.mixed and save.mixed_precision_technique
+        return batch.live_fmas / core.num_vpus
+    mp_chains = batch.mixed and save.mixed_precision_technique
     if save.coalescing == CoalescingScheme.HORIZONTAL:
         # Perfect compression across all 16 slots.
         if mp_chains:
-            totals = arrays.ml_count.sum(axis=0, dtype=np.int64)
-            entries = float(np.ceil(totals / 2.0).sum())
+            entries = _chain_entries(batch.ml_count).sum(axis=(1, 2, 3))
         else:
-            entries = float(np.count_nonzero(arrays.effectual))
+            entries = batch.live_lanes
         return entries / (FP32_LANES * core.num_vpus)
     # Vertical / rotate-vertical: per temp-slot demand, maximised over
     # RS-co-residency windows.  Entries in different windows can never
     # combine, so their slot demands add.
-    window = max(1, min(arrays.k_steps, core.rs_entries // arrays.uops_per_step))
-    slot_idx = _slot_indices(arrays, machine).ravel()
-    cycles = 0.0
-    for start in range(0, arrays.k_steps, window):
-        block = slice(start, start + window)
+    window = max(1, min(batch.k_steps, core.rs_entries // batch.uops_per_step))
+    source = batch.ml_count if mp_chains else batch.effectual
+    points = len(batch)
+    source = source.reshape(points, batch.k_steps, -1)
+    slot_index = _slot_index(batch, machine)
+    demand = []
+    for start in range(0, batch.k_steps, window):
+        block = source[:, start : start + window]
         if mp_chains:
-            # ML chains drain two reduction levels per slot entry.
-            totals = arrays.ml_count[block].sum(axis=0, dtype=np.int64)
-            counts = np.ceil(totals / 2.0)
+            counts = _chain_entries(block)
         else:
-            counts = arrays.effectual[block].sum(axis=0, dtype=np.int64)
+            counts = block.sum(axis=1, dtype=np.int64)
+        # Integer-valued sums, so exact in any summation order.
         per_slot = np.bincount(
-            slot_idx, weights=counts.ravel().astype(np.float64),
-            minlength=FP32_LANES,
-        )
+            slot_index, weights=counts.ravel(), minlength=FP32_LANES * points
+        ).reshape(points, FP32_LANES)
         # A VPU op consumes at most one entry per slot per cycle, and at
         # most 16 entries total — whichever is tighter.
-        cycles += max(float(per_slot.max()), float(counts.sum()) / FP32_LANES)
-    return cycles / core.num_vpus
+        demand.append(
+            np.maximum(per_slot.max(axis=1), per_slot.sum(axis=1) / FP32_LANES)
+        )
+    return sum(demand) / core.num_vpus
 
 
-def _l1_bound(arrays: TraceArrays, machine: MachineConfig) -> float:
+def _l1_bound(batch: TraceBatch, machine: MachineConfig) -> np.ndarray | float:
     save = machine.save
-    loads = arrays.k_steps * arrays.loads_per_step
+    loads = batch.k_steps * batch.loads_per_step
     reads_per_broadcast = (
         1
-        if arrays.tile.pattern == BroadcastPattern.EXPLICIT
-        else arrays.tile.col_vectors
+        if batch.tile.pattern == BroadcastPattern.EXPLICIT
+        else batch.tile.col_vectors
     )
-    total_broadcasts = arrays.k_steps * arrays.tile.rows * reads_per_broadcast
+    total_broadcasts = batch.k_steps * batch.tile.rows * reads_per_broadcast
     kind = save.broadcast_cache if save.enabled else BroadcastCacheKind.NONE
-    elements_per_line = 64 // arrays.element_bytes
-    lines_per_row = -(-arrays.k_depth // elements_per_line)
+    elements_per_line = 64 // batch.element_bytes
+    lines_per_row = -(-batch.k_depth // elements_per_line)
     if kind == BroadcastCacheKind.DATA:
         # Each broadcast row is read from L1 once per resident line;
         # every further broadcast hits the B$.
-        broadcast_l1 = arrays.tile.rows * lines_per_row
+        broadcast_l1 = batch.tile.rows * lines_per_row
     elif kind == BroadcastCacheKind.MASK:
         # Mask hits only elide *zero* broadcasts; non-zero ones still
         # read the L1.
-        nonzero = int(np.count_nonzero(arrays.broadcast_nonzero))
-        broadcast_l1 = arrays.tile.rows * lines_per_row + nonzero * reads_per_broadcast
+        nonzero = batch.broadcast_nonzero.sum(axis=(1, 2))
+        broadcast_l1 = batch.tile.rows * lines_per_row + nonzero * reads_per_broadcast
     else:
         broadcast_l1 = total_broadcasts
     return (loads + broadcast_l1) / machine.hierarchy.l1_read_ports
 
 
-def _chain_bound(arrays: TraceArrays, machine: MachineConfig) -> float:
+def _chain_bound(batch: TraceBatch, machine: MachineConfig) -> np.ndarray | float:
     save = machine.save
-    latency = machine.fma_latency(arrays.mixed)
+    latency = machine.fma_latency(batch.mixed)
     if not save.enabled:
-        return float(arrays.k_steps * latency)
-    if arrays.mixed and save.mixed_precision_technique:
-        totals = arrays.ml_count.sum(axis=0, dtype=np.int64)
-        depth = float(np.ceil(totals / 2.0).max()) if totals.size else 0.0
-        return depth * latency
+        return float(batch.k_steps * latency)
+    if batch.mixed and save.mixed_precision_technique:
+        depth = _chain_entries(batch.ml_count).max(axis=(1, 2, 3))
+        return depth * float(latency)
     if save.coalescing == CoalescingScheme.NAIVE or not save.lane_wise_dependence:
         # Vector-wise dependence: every non-skipped step serializes the
         # whole accumulator.
-        depth = int(arrays.effectual.any(axis=3).sum(axis=0).max())
+        depth = batch.effectual.any(axis=4).sum(axis=1).max(axis=(1, 2))
     else:
         # Lane-wise dependence: only effectual steps of the *same lane*
         # serialize.
-        depth = int(arrays.effectual.sum(axis=0, dtype=np.int64).max())
-    return float(depth) * latency
+        depth = batch.effectual.sum(axis=1, dtype=np.int64).max(axis=(1, 2, 3))
+    return depth * float(latency)
+
+
+def _bounds(batch: TraceBatch, machine: MachineConfig) -> list[BoundBreakdown]:
+    """The four occupancy bounds of every point in ``batch``."""
+    columns = []
+    for bound in (_frontend_bound, _vpu_bound, _l1_bound, _chain_bound):
+        value = bound(batch, machine)
+        columns.append(
+            value.tolist() if isinstance(value, np.ndarray) else [value] * len(batch)
+        )
+    return [BoundBreakdown(*row) for row in zip(*columns)]
 
 
 def bounds(arrays: TraceArrays, machine: MachineConfig) -> BoundBreakdown:
     """Compute all four occupancy bounds for one trace/machine pair."""
-    return BoundBreakdown(
-        frontend=_frontend_bound(arrays, machine),
-        vpu=_vpu_bound(arrays, machine),
-        l1=_l1_bound(arrays, machine),
-        chain=_chain_bound(arrays, machine),
-    )
+    return _bounds(TraceBatch.of(arrays), machine)[0]
+
+
+def config_bounds(
+    configs: Sequence[GemmKernelConfig], machine: MachineConfig
+) -> list[BoundBreakdown]:
+    """:func:`bounds` of many seeded configs, a batch at a time."""
+    return [
+        breakdown
+        for batch in TraceBatch.batches(configs)
+        for breakdown in _bounds(batch, machine)
+    ]
 
 
 def features(breakdown: BoundBreakdown) -> np.ndarray:
@@ -269,54 +307,65 @@ def predict_cycles(
 
 
 def _static_counters(
-    arrays: TraceArrays, machine: MachineConfig
-) -> tuple[int, int, int]:
-    """(effectual_lanes, pass_through_lanes, skipped_fmas), matching the
-    exact pipeline's counter semantics for this machine."""
+    batch: TraceBatch, machine: MachineConfig
+) -> list[tuple[int, int, int]]:
+    """(effectual_lanes, pass_through_lanes, skipped_fmas) per point,
+    matching the exact pipeline's counter semantics for this machine."""
     if not machine.save.enabled:
-        return 0, 0, 0
-    if arrays.mixed and machine.save.mixed_precision_technique:
-        effectual = arrays.effectual_lanes  # ML count per chain append
+        return [(0, 0, 0)] * len(batch)
+    fmas = batch.fma_count
+    live = batch.live_lanes.tolist()
+    if batch.mixed and machine.save.mixed_precision_technique:
+        effectual = batch.effectual_lanes.tolist()  # ML count per chain append
     else:
-        effectual = int(np.count_nonzero(arrays.effectual))
-    return effectual, arrays.pass_through_lanes, arrays.skipped_fmas
+        effectual = live
+    return [
+        (lanes, fmas * FP32_LANES - live_lanes, fmas - live_fmas)
+        for lanes, live_lanes, live_fmas in zip(
+            effectual, live, batch.live_fmas.tolist()
+        )
+    ]
 
 
-def _assemble(
-    arrays: TraceArrays,
-    machine: MachineConfig,
-    cycles: float,
-    breakdown: BoundBreakdown,
-    engine: str,
-) -> SimResult:
-    core = machine.core
-    effectual, pass_through, skipped = _static_counters(arrays, machine)
-    vpu_cycles = breakdown.vpu * core.num_vpus
-    if machine.save.enabled:
-        lane_slots = effectual
-        mgu_processed = arrays.fma_count
-    else:
-        lane_slots = arrays.fma_count * FP32_LANES
-        mgu_processed = 0
-    return SimResult(
-        name=arrays.name,
-        cycles=max(1, int(round(cycles))),
-        freq_ghz=core.freq_ghz,
-        uop_count=arrays.uop_count,
-        fma_count=arrays.fma_count,
-        vpu_ops=int(round(vpu_cycles)),
-        vpu_lane_slots=lane_slots,
-        effectual_lanes=effectual,
-        pass_through_lanes=pass_through,
-        skipped_fmas=skipped,
-        stall_rob_cycles=0,
-        stall_rs_cycles=0,
-        mgu_processed=mgu_processed,
-        l1_port_accesses=int(round(breakdown.l1 * machine.hierarchy.l1_read_ports)),
-        b_cache_hit_rate=0.0,
-        b_cache_reads_saved=0,
-        engine=engine,
-    )
+def _simulate_batch(
+    batch: TraceBatch, machine: MachineConfig, engine: str
+) -> list[SimResult]:
+    """The estimate of every point in ``batch``."""
+    from repro.fastsim.calibration import weights_for
+
+    core, enabled = machine.core, machine.save.enabled
+    weights = weights_for(class_key(batch.tile, batch.precision, machine))
+    uop_count, fma_count = batch.uop_count, batch.fma_count
+    return [
+        SimResult(
+            name=batch.name,
+            cycles=max(1, int(round(predict_cycles(breakdown, weights)))),
+            freq_ghz=core.freq_ghz,
+            uop_count=uop_count,
+            fma_count=fma_count,
+            vpu_ops=int(round(breakdown.vpu * core.num_vpus)),
+            vpu_lane_slots=effectual if enabled else fma_count * FP32_LANES,
+            effectual_lanes=effectual,
+            pass_through_lanes=pass_through,
+            skipped_fmas=skipped,
+            stall_rob_cycles=0,
+            stall_rs_cycles=0,
+            mgu_processed=fma_count if enabled else 0,
+            l1_port_accesses=int(round(breakdown.l1 * machine.hierarchy.l1_read_ports)),
+            b_cache_hit_rate=0.0,
+            b_cache_reads_saved=0,
+            engine=engine,
+        )
+        for breakdown, (effectual, pass_through, skipped) in zip(
+            _bounds(batch, machine), _static_counters(batch, machine)
+        )
+    ]
+
+
+def _check_fast_engine(engine: str) -> None:
+    validate_engine(engine)
+    if engine == ENGINE_EXACT:
+        raise ValueError("the exact engine needs a µop trace; use repro.core")
 
 
 def simulate_arrays(
@@ -331,15 +380,30 @@ def simulate_arrays(
     ``config`` is unused: the estimate reads everything from ``arrays``.
     It stays so that callers which pass it keep working.
     """
-    validate_engine(engine)
-    if engine == ENGINE_EXACT:
-        raise ValueError("the exact engine needs a µop trace; use repro.core")
-    from repro.fastsim.calibration import weights_for
+    _check_fast_engine(engine)
+    return _simulate_batch(TraceBatch.of(arrays), machine, engine)[0]
 
-    breakdown = bounds(arrays, machine)
-    key = class_key(arrays.tile, arrays.precision, machine)
-    cycles = predict_cycles(breakdown, weights_for(key))
-    return _assemble(arrays, machine, cycles, breakdown, engine)
+
+def simulate_configs(
+    configs: Sequence[GemmKernelConfig],
+    machine: MachineConfig,
+    engine: str = ENGINE_FAST,
+) -> list[SimResult]:
+    """Estimate many seeded kernel configs, in order, without µop traces.
+
+    Runs of consecutive configs that differ only in sparsity levels and
+    seed are evaluated as one numpy pass each (see
+    :meth:`TraceBatch.batches`); every result is bit-identical to
+    :func:`simulate_config` on that config alone.  Raises
+    :class:`repro.fastsim.soa.UnsupportedConfigError` for a config that
+    is not a :class:`GemmKernelConfig`.
+    """
+    _check_fast_engine(engine)
+    return [
+        result
+        for batch in TraceBatch.batches(configs)
+        for result in _simulate_batch(batch, machine, engine)
+    ]
 
 
 def simulate_config(
@@ -347,8 +411,11 @@ def simulate_config(
     machine: MachineConfig,
     engine: str = ENGINE_FAST,
 ) -> SimResult:
-    """Estimate one seeded kernel config without building a µop trace."""
-    return simulate_arrays(TraceArrays.from_config(config), machine, engine)
+    """Estimate one seeded kernel config without building a µop trace:
+    :func:`simulate_configs` on a batch of one."""
+    _check_fast_engine(engine)
+    (batch,) = TraceBatch.batches([config])
+    return _simulate_batch(batch, machine, engine)[0]
 
 
 def simulate_trace(

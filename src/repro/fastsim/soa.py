@@ -13,10 +13,11 @@ engine needs from that stream is a handful of dense numpy tensors:
 * per-µop-class counts (loads, broadcasts, kmovs, FMAs, scalar
   overhead) for front-end accounting.
 
-:meth:`TraceArrays.from_config` rebuilds the matrices by replaying the
-trace builder's seeded RNG calls, so the arrays match a generated trace
-bit-for-bit *without* materialising a single µop object — that is where
-the fast tier's per-point speedup comes from.
+:meth:`TraceBatch.batches` rebuilds the masks of many configs by
+replaying the trace builder's seeded RNG calls, so the arrays match a
+generated trace bit-for-bit *without* materialising a single µop
+object, stacked on a leading point axis; :meth:`TraceArrays.from_config`
+is a batch of one.
 :meth:`TraceArrays.from_trace` reads the same matrices out of an
 already-built :class:`repro.kernels.trace.KernelTrace`, and
 :meth:`TraceArrays.from_stream` appends chunk-by-chunk from any
@@ -28,36 +29,68 @@ without a materialized µop list in memory.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
-from repro.isa.datatypes import BF16_LANES, FP32_LANES, bf16_round
+from repro.isa.datatypes import BF16_LANES, FP32_LANES
 from repro.isa.uops import UopKind
 from repro.kernels.gemm import GemmKernelConfig
 from repro.kernels.stream import TraceStream
 from repro.kernels.tiling import BroadcastPattern, Precision, RegisterTile
 from repro.kernels.trace import DEFAULT_CHUNK, KernelTrace
-from repro.sparsity.generators import sparse_matrix
+from repro.sparsity.generators import operand_masks
 
-__all__ = ["TraceArrays"]
+__all__ = ["TraceArrays", "TraceBatch", "UnsupportedConfigError", "check_fast_config"]
 
 #: FMA provenance tag written by the GEMM generators:
 #: ``k{step}r{row}c{col_vector}``.
 _FMA_TAG = re.compile(r"k(\d+)r(\d+)c(\d+)")
 
+#: Points per batch.  Bounds the working set of one numpy pass: whole
+#: 2048-point sweep batches evaluated at once doubled a fast sweep's
+#: peak RSS, while per-point cost is flat from 64 points up.
+_MAX_BATCH_POINTS = 128
+
+#: The config fields every point of a batch shares: all but the
+#: sparsity levels and the seed.
+_shared_fields = attrgetter(
+    *(
+        field.name
+        for field in fields(GemmKernelConfig)
+        if field.name not in ("broadcast_sparsity", "nonbroadcast_sparsity", "seed")
+    )
+)
+
+_ARRAY_FIELDS = ("a_nz", "b_nz", "effectual", "ml_count", "broadcast_nonzero")
+
+
+class UnsupportedConfigError(ValueError):
+    """A kernel config the fast tier has no model or calibration for."""
+
+
+def check_fast_config(config: object) -> GemmKernelConfig:
+    """``config`` if the fast tier can estimate it, else raise.
+
+    The fast tier replays the unstructured generator of
+    :class:`GemmKernelConfig` and is calibrated on those kernels only;
+    an N:M config would silently get the wrong operand pattern.
+    """
+    if not isinstance(config, GemmKernelConfig):
+        raise UnsupportedConfigError(
+            f"the fast tier models unstructured GEMM kernels only; "
+            f"{getattr(config, 'name', config)!r} is a "
+            f"{type(config).__name__}, which has no fast-tier calibration "
+            "(use --engine exact)"
+        )
+    return config
+
 
 @dataclass(frozen=True)
-class TraceArrays:
-    """Dense-array equivalent of one generated kernel trace.
-
-    ``effectual`` has shape ``(k_steps, rows, col_vectors, 16)`` and is
-    True where the VFMA of reduction step ``k`` on accumulator
-    ``(row, j)`` does real work in accumulator lane ``l``.
-    ``ml_count`` is the per-lane effectual multiplicand-lane count —
-    identical to ``effectual`` for FP32, and in ``{0, 1, 2}`` for mixed
-    precision (two reduction levels per accumulator lane).
-    """
+class _Layout:
+    """The µop structure of a kernel trace."""
 
     name: str
     tile: RegisterTile
@@ -65,186 +98,6 @@ class TraceArrays:
     precision: Precision
     use_write_masks: bool
     scalar_overhead_per_step: int
-    a_nz: np.ndarray  # bool (rows, k_depth)
-    b_nz: np.ndarray  # bool (k_depth, col_vectors * 16)
-    effectual: np.ndarray  # bool (k_steps, rows, col_vectors, 16)
-    ml_count: np.ndarray  # int8, same shape as ``effectual``
-    broadcast_nonzero: np.ndarray  # bool (k_steps, rows)
-
-    # -- construction -----------------------------------------------------
-
-    @classmethod
-    def from_config(cls, config: GemmKernelConfig) -> TraceArrays:
-        """Build the arrays straight from a seeded trace config.
-
-        Replays the exact RNG call sequence of
-        :class:`repro.kernels.gemm._GemmTraceBuilder` (one generator,
-        A first, then B), so the non-zero structure is identical to the
-        trace the exact engine would simulate.
-        """
-        tile = config.tile
-        rows, cv = tile.rows, tile.col_vectors
-        k_depth = config.k_depth
-        rng = np.random.default_rng(config.seed)
-        a = sparse_matrix((rows, k_depth), config.broadcast_sparsity, rng)
-        b = sparse_matrix(
-            (k_depth, cv * FP32_LANES), config.nonbroadcast_sparsity, rng
-        )
-        if config.precision == Precision.MIXED:
-            a = bf16_round(a)
-            b = bf16_round(b)
-        return cls._from_matrices(config, a, b)
-
-    @classmethod
-    def from_trace(cls, trace: KernelTrace) -> TraceArrays:
-        """Build the arrays from an already-generated trace's metadata."""
-        meta = trace.meta
-        config = GemmKernelConfig(
-            name=trace.name,
-            tile=meta["tile"],
-            k_steps=meta["k_steps"],
-            precision=meta["precision"],
-            broadcast_sparsity=meta["broadcast_sparsity"],
-            nonbroadcast_sparsity=meta["nonbroadcast_sparsity"],
-            use_write_masks=meta.get("use_write_masks", False),
-            scalar_overhead_per_step=meta.get("scalar_overhead_per_step", 2),
-        )
-        return cls._from_matrices(
-            config, np.asarray(meta["a_matrix"]), np.asarray(meta["b_matrix"])
-        )
-
-    @classmethod
-    def from_stream(
-        cls, stream: TraceStream, chunk: int = DEFAULT_CHUNK
-    ) -> TraceArrays:
-        """Append into the structure-of-arrays chunk-by-chunk.
-
-        Decodes the µop stream itself (not the generator's metadata
-        matrices): VLOAD/VBCAST µops establish the register→address map,
-        and each VFMA's ``k{step}r{row}c{j}`` tag plus its operand
-        addresses — resolved against the stream's memory image — yield
-        one ``(step, row, col_vector)`` slice of the effectual tensor.
-        Only one chunk of µops is resident at a time, so arbitrarily
-        long traces build in O(arrays) memory.
-        """
-        meta = stream.meta
-        tile: RegisterTile = meta["tile"]
-        k = int(meta["k_steps"])
-        precision: Precision = meta["precision"]
-        mixed = precision == Precision.MIXED
-        rows, cv = tile.rows, tile.col_vectors
-        k_depth = k * (2 if mixed else 1)
-        elem_bytes = 2 if mixed else 4
-        lanes = BF16_LANES if mixed else FP32_LANES
-
-        a_nz = np.zeros((rows, k_depth), dtype=bool)
-        b_nz = np.zeros((k_depth, cv * FP32_LANES), dtype=bool)
-        effectual = np.zeros((k, rows, cv, FP32_LANES), dtype=bool)
-        ml_count = np.zeros((k, rows, cv, FP32_LANES), dtype=np.int8)
-        broadcast_nonzero = np.zeros((k, rows), dtype=bool)
-
-        memory = stream.memory
-        reg_addr: dict[int, int] = {}
-        for block in stream.iter_uops(chunk):
-            for uop in block:
-                kind = uop.kind
-                if kind in (UopKind.VLOAD, UopKind.VBCAST):
-                    reg_addr[uop.dst] = uop.src_a.addr
-                    continue
-                if not uop.is_fma():
-                    continue
-                tag = _FMA_TAG.fullmatch(uop.tag or "")
-                if tag is None:
-                    raise ValueError(
-                        f"FMA µop without a k/r/c provenance tag: {uop.tag!r}"
-                    )
-                k_i, r_i, j_i = (int(g) for g in tag.groups())
-                mem_op = uop.memory_operand()
-                a_addr = mem_op.addr if mem_op is not None else reg_addr[uop.src_a.reg]
-                b_vec = memory.read_vector(reg_addr[uop.src_b.reg], lanes, elem_bytes)
-                cols = slice(j_i * FP32_LANES, (j_i + 1) * FP32_LANES)
-                if mixed:
-                    a_pair = np.array(
-                        [memory.read(a_addr), memory.read(a_addr + elem_bytes)]
-                    )
-                    a_live = a_pair != 0
-                    even_nz = b_vec[0::2] != 0
-                    odd_nz = b_vec[1::2] != 0
-                    a_nz[r_i, 2 * k_i] = a_live[0]
-                    a_nz[r_i, 2 * k_i + 1] = a_live[1]
-                    b_nz[2 * k_i, cols] = even_nz
-                    b_nz[2 * k_i + 1, cols] = odd_nz
-                    ml = (a_live[0] & even_nz).astype(np.int8)
-                    ml += (a_live[1] & odd_nz).astype(np.int8)
-                    ml_count[k_i, r_i, j_i] = ml
-                    effectual[k_i, r_i, j_i] = ml > 0
-                    broadcast_nonzero[k_i, r_i] = bool(a_live.any())
-                else:
-                    a_live = memory.read(a_addr) != 0
-                    vec_nz = b_vec != 0
-                    a_nz[r_i, k_i] = a_live
-                    b_nz[k_i, cols] = vec_nz
-                    eff = a_live & vec_nz
-                    effectual[k_i, r_i, j_i] = eff
-                    ml_count[k_i, r_i, j_i] = eff.astype(np.int8)
-                    broadcast_nonzero[k_i, r_i] = a_live
-        return cls(
-            name=stream.name,
-            tile=tile,
-            k_steps=k,
-            precision=precision,
-            use_write_masks=bool(meta.get("use_write_masks", False)),
-            scalar_overhead_per_step=int(meta.get("scalar_overhead_per_step", 2)),
-            a_nz=a_nz,
-            b_nz=b_nz,
-            effectual=effectual,
-            ml_count=ml_count,
-            broadcast_nonzero=broadcast_nonzero,
-        )
-
-    @classmethod
-    def _from_matrices(
-        cls, config: GemmKernelConfig, a: np.ndarray, b: np.ndarray
-    ) -> TraceArrays:
-        tile = config.tile
-        rows, cv = tile.rows, tile.col_vectors
-        k = config.k_steps
-        # Exact-zero operand test — same sparsity-detection semantics as
-        # the hardware model (generators guarantee zeros are exact).
-        a_nz = a != 0
-        b_nz = b != 0
-        if config.precision == Precision.MIXED:
-            # ELM semantics per accumulator lane over pairs p in (0, 1):
-            # pair p effectual iff A[r, 2k+p] != 0 and B[2k+p, j*16+l] != 0.
-            a_pair = a_nz.T.reshape(k, 2, rows)  # [k, p, r]
-            b_pair = b_nz.reshape(k, 2, cv, FP32_LANES)  # [k, p, j, l]
-            ml = (
-                a_pair[:, :, :, None, None] & b_pair[:, :, None, :, :]
-            )  # [k, p, r, j, l]
-            ml_count = ml.sum(axis=1, dtype=np.int8)
-            effectual = ml.any(axis=1)
-            broadcast_nonzero = a_pair.any(axis=1)  # [k, r]
-        else:
-            a_steps = a_nz.T  # [k, r]
-            b_steps = b_nz.reshape(k, cv, FP32_LANES)  # [k, j, l]
-            effectual = a_steps[:, :, None, None] & b_steps[:, None, :, :]
-            ml_count = effectual.astype(np.int8)
-            broadcast_nonzero = a_steps
-        return cls(
-            name=config.name,
-            tile=tile,
-            k_steps=k,
-            precision=config.precision,
-            use_write_masks=config.use_write_masks,
-            scalar_overhead_per_step=config.scalar_overhead_per_step,
-            a_nz=a_nz,
-            b_nz=b_nz,
-            effectual=effectual,
-            ml_count=ml_count,
-            broadcast_nonzero=broadcast_nonzero,
-        )
-
-    # -- derived structure -------------------------------------------------
 
     @property
     def mixed(self) -> bool:
@@ -272,14 +125,6 @@ class TraceArrays:
         return self.tile.col_vectors
 
     @property
-    def broadcasts_per_step(self) -> int:
-        """Broadcast *reads* per step (µops for explicit, operands for
-        embedded — every embedded VFMA carries one)."""
-        if self.tile.pattern == BroadcastPattern.EXPLICIT:
-            return self.tile.rows
-        return self.tile.rows * self.tile.col_vectors
-
-    @property
     def uops_per_step(self) -> int:
         """Allocated µops per reduction step."""
         count = (
@@ -298,19 +143,247 @@ class TraceArrays:
         """Total µops: VZEROs + K steps + accumulator VSTOREs."""
         return 2 * self.accumulators + self.k_steps * self.uops_per_step
 
+
+@dataclass(frozen=True)
+class _Arrays(_Layout):
+    a_nz: np.ndarray
+    b_nz: np.ndarray
+    effectual: np.ndarray
+    ml_count: np.ndarray
+    broadcast_nonzero: np.ndarray
+
+    def _reindexed(self, cls: type, index):
+        """``cls`` with this layout and every array indexed by ``index``."""
+        return cls(
+            **{field.name: getattr(self, field.name) for field in fields(_Layout)},
+            **{name: getattr(self, name)[index] for name in _ARRAY_FIELDS},
+        )
+
+
+@dataclass(frozen=True)
+class TraceArrays(_Arrays):
+    """Dense-array equivalent of one generated kernel trace.
+
+    ``a_nz`` is bool ``(rows, k_depth)`` and ``b_nz`` bool ``(k_depth,
+    col_vectors * 16)``: the operands' non-zero masks.  ``effectual``
+    has shape ``(k_steps, rows, col_vectors, 16)`` and is True where the
+    VFMA of reduction step ``k`` on accumulator ``(row, j)`` does real
+    work in accumulator lane ``l``.  ``ml_count`` (int8, same shape) is
+    the per-lane effectual multiplicand-lane count — identical to
+    ``effectual`` for FP32, and in ``{0, 1, 2}`` for mixed precision
+    (two reduction levels per accumulator lane).  ``broadcast_nonzero``
+    is bool ``(k_steps, rows)``.
+    """
+
+    @classmethod
+    def from_config(cls, config: GemmKernelConfig) -> TraceArrays:
+        """Build the arrays straight from a seeded trace config.
+
+        A batch of one: see :meth:`TraceBatch.batches`.
+        """
+        (batch,) = TraceBatch.batches([config])
+        return batch[0]
+
+    @classmethod
+    def from_trace(cls, trace: KernelTrace) -> TraceArrays:
+        """Build the arrays from an already-generated trace's metadata."""
+        meta = trace.meta
+        # Exact-zero operand test — same sparsity-detection semantics as
+        # the hardware model (generators guarantee zeros are exact).
+        return TraceBatch.from_masks(
+            _layout_of(trace.name, meta),
+            (np.asarray(meta["a_matrix"]) != 0)[None],
+            (np.asarray(meta["b_matrix"]) != 0)[None],
+        )[0]
+
+    @classmethod
+    def from_stream(
+        cls, stream: TraceStream, chunk: int = DEFAULT_CHUNK
+    ) -> TraceArrays:
+        """Append into the structure-of-arrays chunk-by-chunk.
+
+        Decodes the µop stream itself (not the generator's metadata
+        matrices): VLOAD/VBCAST µops establish the register→address map,
+        and each VFMA's ``k{step}r{row}c{j}`` tag plus its operand
+        addresses — resolved against the stream's memory image — yield
+        the operand elements it multiplies.  Only one chunk of µops is
+        resident at a time, so arbitrarily long traces build in
+        O(arrays) memory.
+        """
+        layout = _layout_of(stream.name, stream.meta)
+        tile, mixed = layout.tile, layout.mixed
+        elem_bytes = layout.element_bytes
+        lanes = BF16_LANES if mixed else FP32_LANES
+        a_nz = np.zeros((tile.rows, layout.k_depth), dtype=bool)
+        b_nz = np.zeros((layout.k_depth, tile.col_vectors * FP32_LANES), dtype=bool)
+
+        memory = stream.memory
+        reg_addr: dict[int, int] = {}
+        for block in stream.iter_uops(chunk):
+            for uop in block:
+                kind = uop.kind
+                if kind in (UopKind.VLOAD, UopKind.VBCAST):
+                    reg_addr[uop.dst] = uop.src_a.addr
+                    continue
+                if not uop.is_fma():
+                    continue
+                tag = _FMA_TAG.fullmatch(uop.tag or "")
+                if tag is None:
+                    raise ValueError(
+                        f"FMA µop without a k/r/c provenance tag: {uop.tag!r}"
+                    )
+                k_i, r_i, j_i = (int(g) for g in tag.groups())
+                mem_op = uop.memory_operand()
+                a_addr = mem_op.addr if mem_op is not None else reg_addr[uop.src_a.reg]
+                b_vec = memory.read_vector(reg_addr[uop.src_b.reg], lanes, elem_bytes)
+                cols = slice(j_i * FP32_LANES, (j_i + 1) * FP32_LANES)
+                if mixed:
+                    # VNNI layout: even lanes are level 2k, odd 2k + 1.
+                    for pair in (0, 1):
+                        level = 2 * k_i + pair
+                        a_nz[r_i, level] = memory.read(a_addr + pair * elem_bytes) != 0
+                        b_nz[level, cols] = b_vec[pair::2] != 0
+                else:
+                    a_nz[r_i, k_i] = memory.read(a_addr) != 0
+                    b_nz[k_i, cols] = b_vec != 0
+        return TraceBatch.from_masks(layout, a_nz[None], b_nz[None])[0]
+
+    # -- counters ----------------------------------------------------------
+
     @property
     def skipped_fmas(self) -> int:
         """VFMAs whose whole ELM is zero (BS-skippable)."""
-        return int(self.fma_count - np.count_nonzero(self.effectual.any(axis=3)))
+        return self.fma_count - int(TraceBatch.of(self).live_fmas[0])
 
     @property
     def effectual_lanes(self) -> int:
         """Total effectual multiplicand work items across the trace."""
-        return int(self.ml_count.sum(dtype=np.int64))
+        return int(TraceBatch.of(self).effectual_lanes[0])
 
     @property
     def pass_through_lanes(self) -> int:
         """Accumulator lanes that pass through with no VPU work."""
-        return int(self.fma_count * FP32_LANES) - int(
-            np.count_nonzero(self.effectual)
+        return self.fma_count * FP32_LANES - int(TraceBatch.of(self).live_lanes[0])
+
+
+def _layout_of(name: str, meta: dict) -> _Layout:
+    """The layout a generated trace's metadata describes."""
+    return _Layout(
+        name=name,
+        tile=meta["tile"],
+        k_steps=int(meta["k_steps"]),
+        precision=meta["precision"],
+        use_write_masks=bool(meta.get("use_write_masks", False)),
+        scalar_overhead_per_step=int(meta.get("scalar_overhead_per_step", 2)),
+    )
+
+
+@dataclass(frozen=True)
+class TraceBatch(_Arrays):
+    """The :class:`TraceArrays` of points that share one layout, stacked.
+
+    Every array has a leading point axis; ``batch[i]`` is point ``i``'s
+    :class:`TraceArrays`.  Each counter property holds one value per
+    point.
+    """
+
+    @classmethod
+    def batches(cls, configs: Sequence[GemmKernelConfig]) -> Iterator[TraceBatch]:
+        """Batches of ``configs``, in order, each one numpy pass.
+
+        A batch is a run of consecutive configs that differ only in
+        sparsity levels and seed, capped at :data:`_MAX_BATCH_POINTS`.
+        Its masks replay the trace builder's RNG calls through
+        :func:`repro.sparsity.generators.operand_masks` (one generator
+        per seed, A first, then B), so the non-zero structure is
+        identical to the trace the exact engine would simulate.
+
+        Raises :class:`UnsupportedConfigError` for any config that is
+        not a :class:`GemmKernelConfig`.
+        """
+        run: list[GemmKernelConfig] = []
+        for config in configs:
+            key = _shared_fields(check_fast_config(config))
+            if run and (key != _shared_fields(run[0]) or len(run) == _MAX_BATCH_POINTS):
+                yield cls._from_configs(run)
+                run = []
+            run.append(config)
+        if run:
+            yield cls._from_configs(run)
+
+    @classmethod
+    def _from_configs(cls, configs: list[GemmKernelConfig]) -> TraceBatch:
+        first = configs[0]
+        tile, k_depth = first.tile, first.k_depth
+        a_nz, b_nz = operand_masks(
+            (tile.rows, k_depth),
+            (k_depth, tile.col_vectors * FP32_LANES),
+            [(c.seed, c.broadcast_sparsity, c.nonbroadcast_sparsity) for c in configs],
         )
+        return cls.from_masks(first, a_nz, b_nz)
+
+    @classmethod
+    def from_masks(cls, layout, a_nz: np.ndarray, b_nz: np.ndarray) -> TraceBatch:
+        """The arrays of stacked operand masks, laid out as ``layout``
+        (a :class:`GemmKernelConfig` or a trace's layout)."""
+        tile = layout.tile
+        points = len(a_nz)
+        rows, cv = tile.rows, tile.col_vectors
+        k = layout.k_steps
+        a_steps = a_nz.transpose(0, 2, 1)  # [P, k_depth, r]
+        if layout.precision == Precision.MIXED:
+            # ELM semantics per accumulator lane over pairs p in (0, 1):
+            # pair p effectual iff A[r, 2k+p] != 0 and B[2k+p, j*16+l] != 0.
+            a_pair = a_steps.reshape(points, k, 2, rows)  # [P, k, p, r]
+            b_pair = b_nz.reshape(points, k, 2, cv, FP32_LANES)  # [P, k, p, j, l]
+            even, odd = (
+                a_pair[:, :, p, :, None, None] & b_pair[:, :, p, None, :, :]
+                for p in (0, 1)
+            )  # [P, k, r, j, l]
+            ml_count = even.view(np.int8) + odd.view(np.int8)
+            effectual = even | odd
+            broadcast_nonzero = a_pair[:, :, 0] | a_pair[:, :, 1]  # [P, k, r]
+        else:
+            b_steps = b_nz.reshape(points, k, cv, FP32_LANES)  # [P, k, j, l]
+            effectual = a_steps[:, :, :, None, None] & b_steps[:, :, None, :, :]
+            ml_count = effectual.view(np.int8)
+            broadcast_nonzero = a_steps
+        return cls(
+            name=layout.name,
+            tile=tile,
+            k_steps=k,
+            precision=layout.precision,
+            use_write_masks=layout.use_write_masks,
+            scalar_overhead_per_step=layout.scalar_overhead_per_step,
+            a_nz=a_nz,
+            b_nz=b_nz,
+            effectual=effectual,
+            ml_count=ml_count,
+            broadcast_nonzero=broadcast_nonzero,
+        )
+
+    @classmethod
+    def of(cls, arrays: TraceArrays) -> TraceBatch:
+        """One point's arrays as a batch of one."""
+        return arrays._reindexed(cls, None)
+
+    def __len__(self) -> int:
+        return len(self.effectual)
+
+    def __getitem__(self, index: int) -> TraceArrays:
+        return self._reindexed(TraceArrays, index)
+
+    @property
+    def live_fmas(self) -> np.ndarray:
+        """VFMAs with at least one effectual lane (not BS-skippable)."""
+        return self.effectual.any(axis=4).sum(axis=(1, 2, 3))
+
+    @property
+    def effectual_lanes(self) -> np.ndarray:
+        """Total effectual multiplicand work items across the trace."""
+        return self.ml_count.sum(axis=(1, 2, 3, 4), dtype=np.int64)
+
+    @property
+    def live_lanes(self) -> np.ndarray:
+        """Accumulator lanes with VPU work (``effectual`` set)."""
+        return self.effectual.sum(axis=(1, 2, 3, 4))

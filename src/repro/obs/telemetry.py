@@ -391,13 +391,22 @@ def run_chunk_timed(chunk: list) -> list:
     *inside* the worker process, so a parallel service batch gets true
     per-point simulation time rather than pool round-trip time; the
     dispatcher joins the spans back to request trace IDs when it emits
-    ``sim`` events.
+    ``sim`` events.  Jobs run a run at a time
+    (:func:`repro.experiments.executor.job_runs`): a job that runs alone,
+    such as every exact job, is timed alone, and each point of a
+    fast-tier batch gets the batch's wall divided by its size.
     """
+    # Lazy: the executor imports this package.
+    from repro.experiments.executor import job_runs, run_jobs
+
     results = []
-    for index, job in chunk:
+    for run in job_runs(chunk):
         start = time.perf_counter()
-        value = job.run()
-        results.append((index, (value, time.perf_counter() - start)))
+        values = run_jobs([job for _, job in run])
+        wall = (time.perf_counter() - start) / len(run)
+        results.extend(
+            (index, (value, wall)) for (index, _), value in zip(run, values)
+        )
     return results
 
 

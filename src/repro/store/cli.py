@@ -38,6 +38,20 @@ def _levels(count: int) -> list[float]:
     return [round(i * step, 6) for i in range(count)]
 
 
+def _warn_off_calibrated_depth(k_steps: int) -> None:
+    """One stderr line when the fast tier runs off its calibrated depth."""
+    from repro.fastsim.calibration import load_calibration
+
+    payload = load_calibration()
+    if payload is not None and k_steps != payload["k_steps"]:
+        print(
+            f"warning: the fast tier is calibrated at k_steps="
+            f"{payload['k_steps']}; its error budget does not cover "
+            f"--k-steps {k_steps} (see docs/methodology.md)",
+            file=sys.stderr,
+        )
+
+
 def sweep_main(argv: Optional[list[str]] = None) -> int:
     """Entry point for ``python -m repro sweep``."""
     parser = argparse.ArgumentParser(
@@ -92,6 +106,7 @@ def sweep_main(argv: Optional[list[str]] = None) -> int:
 
     from repro.experiments.executor import SimExecutor
     from repro.experiments.streamsweep import DEFAULT_BATCH_POINTS, stream_sweep
+    from repro.fastsim import UnsupportedConfigError
     from repro.kernels.library import get_kernel
     from repro.rivals.mechanisms import MechanismError
     from repro.store import StoreError
@@ -102,6 +117,8 @@ def sweep_main(argv: Optional[list[str]] = None) -> int:
         print(str(error), file=sys.stderr)
         return 2
     levels = _levels(args.grid)
+    if args.engine == "fast":
+        _warn_off_calibrated_depth(args.k_steps)
     try:
         summary = stream_sweep(
             spec,
@@ -118,7 +135,7 @@ def sweep_main(argv: Optional[list[str]] = None) -> int:
             batch_points=args.batch if args.batch else DEFAULT_BATCH_POINTS,
             overwrite=args.overwrite,
         )
-    except MechanismError as error:
+    except (MechanismError, UnsupportedConfigError) as error:
         print(str(error), file=sys.stderr)
         return 2
     except StoreError as error:

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.config import BASELINE_2VPU, SAVE_2VPU
 from repro.experiments.streamsweep import stream_sweep
-from repro.fastsim import simulate_config
+from repro.fastsim import UnsupportedConfigError, simulate_config
 from repro.kernels.library import get_kernel
 from repro.kernels.tiling import Precision
 from repro.model.surface import SparsitySurface, machine_label
@@ -86,6 +86,15 @@ class TestStreamSweep:
                 "resnet2_2_fwd", SAVE_2VPU, (0.0,), (0.0,), tmp_path,
                 batch_points=0,
             )
+
+    def test_fast_nm_kernel_rejected_before_store_exists(self, tmp_path):
+        store = tmp_path / "store"
+        with pytest.raises(UnsupportedConfigError, match="--engine exact"):
+            stream_sweep(
+                "nm24_fwd", SAVE_2VPU, (0.5,), (0.5,), store,
+                engine="fast", k_steps=8,
+            )
+        assert not store.exists()
 
     def test_streamed_sweep_equals_surface_grid(self, tmp_path):
         # Same grid, same machine, same tier: the out-of-core path and

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sparsity.generators import sparse_matrix, sparse_vector, sparsify, zero_mask
+from repro.sparsity.generators import (
+    nonzero_mask,
+    operand_masks,
+    sparse_matrix,
+    sparse_vector,
+    sparsify,
+    zero_mask,
+)
 from repro.sparsity.stats import measured_sparsity
 
 
@@ -87,3 +94,49 @@ class TestSparsify:
     def test_zero_rate_is_identity(self):
         values = np.arange(1, 11, dtype=np.float32)
         assert np.array_equal(sparsify(values, 0.0, rng=0), values)
+
+
+#: Sparsity 0, 1 and off-grid levels whose zero counts collide.
+REPLAY_LEVELS = (0.0, 1.0, 0.29, 0.3, 0.5, 0.9)
+
+
+class TestMaskReplay:
+    """``nonzero_mask`` / ``operand_masks`` replay ``sparse_matrix``'s
+    draws without its values."""
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 16), (16, 96)])
+    @pytest.mark.parametrize("sparsity", REPLAY_LEVELS)
+    def test_nonzero_mask_replays_sparse_matrix(self, shape, sparsity):
+        replayed, drawn = np.random.default_rng(7), np.random.default_rng(7)
+        mask = nonzero_mask(shape, sparsity, replayed)
+        assert np.array_equal(mask, sparse_matrix(shape, sparsity, drawn) != 0)
+        # The generator ends where sparse_matrix leaves it.
+        assert replayed.bit_generator.state == drawn.bit_generator.state
+
+    def test_nonzero_mask_rejects_out_of_range(self):
+        with pytest.raises(ValueError, match="sparsity"):
+            nonzero_mask((4, 4), 1.5, np.random.default_rng(0))
+
+    def test_operand_masks_match_per_point_draws(self):
+        a_shape, b_shape = (4, 16), (16, 96)
+        # Interleaved seeds, repeated A zero counts (0.29 and 0.3 both
+        # zero 19 of 64), and sparsity 0 and 1 on either operand.
+        points = [
+            (seed, bs, nbs)
+            for bs in REPLAY_LEVELS
+            for seed in (0, 3)
+            for nbs in REPLAY_LEVELS
+        ]
+        a_masks, b_masks = operand_masks(a_shape, b_shape, points)
+        assert a_masks.shape == (len(points), *a_shape)
+        assert b_masks.shape == (len(points), *b_shape)
+        for index, (seed, bs, nbs) in enumerate(points):
+            rng = np.random.default_rng(seed)
+            assert np.array_equal(a_masks[index], sparse_matrix(a_shape, bs, rng) != 0)
+            assert np.array_equal(b_masks[index], sparse_matrix(b_shape, nbs, rng) != 0)
+
+    def test_operand_masks_reject_out_of_range(self):
+        with pytest.raises(ValueError, match="sparsity"):
+            operand_masks((2, 3), (3, 32), [(0, 0.5, 0.5), (0, 1.5, 0.5)])
+        with pytest.raises(ValueError, match="sparsity"):
+            operand_masks((2, 3), (3, 32), [(0, 0.5, 1.5)])

@@ -41,6 +41,25 @@ class TestSweepMain:
         assert code == 1
         assert "already exists" in capsys.readouterr().err
 
+    def test_fast_nm_kernel_exits_2_without_a_store(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        code = sweep_main(["nm24_fwd", "--store", str(store), "--grid", "2"])
+        assert code == 2
+        assert "--engine exact" in capsys.readouterr().err
+        assert not store.exists()
+
+    def test_warns_off_the_calibrated_depth(self, tmp_path, capsys):
+        from repro.fastsim.calibration import load_calibration
+
+        calibrated = load_calibration()["k_steps"]
+        argv = ["resnet2_2_fwd", "--grid", "2", "--engine", "fast"]
+        assert sweep_main(argv + ["--store", str(tmp_path / "a"), "--k-steps", "2"]) == 0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"k_steps={calibrated}" in err[0]
+        argv += ["--store", str(tmp_path / "b"), "--k-steps", str(calibrated)]
+        assert sweep_main(argv) == 0
+        assert capsys.readouterr().err == ""
+
     def test_summary_line(self, swept_store, tmp_path, capsys):
         code = sweep_main(
             [
