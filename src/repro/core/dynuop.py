@@ -7,6 +7,10 @@ wake-up.  Values are carried so the pipeline *functionally executes*
 the trace in its own (SAVE-reordered) schedule — which is what the
 software-transparency property tests compare against the in-order
 reference.
+
+Lane sets are 16-bit integer masks throughout (bit ``l`` is lane
+``l``); :func:`lanes_of` and :func:`popcount` read them through
+per-byte tables.
 """
 
 from __future__ import annotations
@@ -24,6 +28,22 @@ ROLE_ACC = "acc"
 ROLE_MASK = "mask"
 ROLE_STORE = "store"
 
+_BYTE_LANES = tuple(
+    tuple(lane for lane in range(8) if byte >> lane & 1) for byte in range(256)
+)
+_HIGH_LANES = tuple(tuple(lane + 8 for lane in lanes) for lanes in _BYTE_LANES)
+_BYTE_POPCOUNT = bytes(len(lanes) for lanes in _BYTE_LANES)
+
+
+def lanes_of(mask: int) -> tuple[int, ...]:
+    """The set lanes of a 16-bit lane mask, ascending."""
+    return _BYTE_LANES[mask & 255] + _HIGH_LANES[mask >> 8]
+
+
+def popcount(mask: int) -> int:
+    """Set bits of a 16-bit lane mask (``int.bit_count`` is 3.10+)."""
+    return _BYTE_POPCOUNT[mask & 255] + _BYTE_POPCOUNT[mask >> 8]
+
 
 class DynUop:
     """One in-flight µop."""
@@ -33,7 +53,6 @@ class DynUop:
         "seq",
         "is_fma",
         "mixed",
-        "lanes",
         # Source producers (DynUop) or immediate values.
         "acc_src",
         "acc_init",
@@ -46,8 +65,11 @@ class DynUop:
         "mem_request",
         # SAVE state.
         "elm",
-        "ml_effectual",
-        "ml_remaining",
+        "ml0",
+        "ml1",
+        "ml_pending",
+        "prod",
+        "chain_lanes",
         "rotation",
         "active",
         "appended",
@@ -76,7 +98,6 @@ class DynUop:
         self.seq = seq
         self.is_fma = uop.is_fma()
         self.mixed = uop.kind == UopKind.VDPBF16
-        self.lanes = lanes
 
         self.acc_src: Optional["DynUop"] = None
         self.acc_init: Optional[np.ndarray] = None
@@ -89,11 +110,17 @@ class DynUop:
         self.mem_request = None
 
         self.elm: Optional[int] = None
-        #: Per accumulator lane, tuple of effectual ML indices (mixed).
-        self.ml_effectual: Optional[list[tuple[int, ...]]] = None
-        #: Per accumulator lane, count of not-yet-processed MLs (mixed
-        #: technique bookkeeping).
-        self.ml_remaining: Optional[list[int]] = None
+        #: Mixed: accumulator lanes whose multiplicand lane 0 / 1 is
+        #: effectual (``elm == ml0 | ml1``); 0 for FP32.
+        self.ml0 = 0
+        self.ml1 = 0
+        #: Mixed technique: MLs appended but not yet processed, bit
+        #: ``2 * lane + p``.
+        self.ml_pending = 0
+        #: Per-element float32 products ``a * b``, formed at ELM time.
+        self.prod: Optional[np.ndarray] = None
+        #: Chain root only: its 16 chain lanes (mixed technique).
+        self.chain_lanes: Optional[list] = None
         self.rotation = 0
         self.active = False  # operands + ELM ready, participates in CW
         self.appended = False  # mixed technique: MLs appended to chain
@@ -151,21 +178,15 @@ class DynUop:
     # Lane progress
     # ------------------------------------------------------------------
 
-    def lane_done(self, lane: int) -> bool:
-        return bool(self.lanes_done_mask & (1 << lane))
-
-    def mark_lane_dispatched(self, lane: int) -> None:
-        self.lanes_dispatched_mask |= 1 << lane
-
     def all_lanes_dispatched(self) -> bool:
         return self.lanes_dispatched_mask == self.full_mask
 
-    def mark_lane_done(self, lane: int, value: np.float32) -> bool:
-        """Record a lane result; returns True if the µop just completed."""
-        if self.out is None:
-            self.out = np.zeros(self.lanes, dtype=np.float32)
-        self.out[lane] = value
-        self.lanes_done_mask |= 1 << lane
+    def mark_lanes_done(self, mask: int) -> bool:
+        """Record finished lanes (values already in :attr:`out`).
+
+        Returns True if the µop just completed.
+        """
+        self.lanes_done_mask |= mask
         if self.lanes_done_mask == self.full_mask and not self.completed:
             self.completed = True
             return True

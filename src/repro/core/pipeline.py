@@ -40,6 +40,8 @@ from repro.core.dynuop import (
     ROLE_MASK,
     ROLE_STORE,
     DynUop,
+    lanes_of,
+    popcount,
 )
 from repro.core.lsu import LoadStoreUnit, MemRequest
 from repro.core.prf import PrfTracker
@@ -58,7 +60,6 @@ from repro.core.save.window import (
 from repro.core.vpu import (
     TempOp,
     TempOpKind,
-    compute_chain_slot,
     compute_lane,
     compute_whole,
 )
@@ -71,6 +72,9 @@ from repro.memory.broadcast_cache import BroadcastCache, BroadcastCacheKind
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import Instrumentation
 from repro.obs.metrics import log2_bucket
+
+#: Effectual ML indices of an accumulator lane, by ``ml0 | ml1 << 1`` bits.
+_ML_PAIRS = ((), (0,), (1,), (0, 1))
 
 
 @dataclass
@@ -236,6 +240,8 @@ class PipelineSimulator:
         self._vpu_events: dict[int, list[TempOp]] = {}
         self._load_events: dict[int, list[MemRequest]] = {}
         self._scalar_events: dict[int, list[DynUop]] = {}
+        #: Wake-ups: ``("lanes", producer, lane mask)`` or ``("full",
+        #: producer, 0)``, drained in order (see :meth:`_lanes_done`).
         self._worklist: deque[tuple[str, DynUop, int]] = deque()
 
         # Stats.
@@ -486,8 +492,9 @@ class PipelineSimulator:
         dyn.acc_src = producer
         if producer is None:
             dyn.acc_init = self.init_state.read_vreg(uop.accum)
-        elif not producer.completed or self.mp_technique:
-            # MP technique also needs append-ordering notifications.
+        elif not producer.completed:
+            # Wake-ups, and MP-technique append-ordering notifications
+            # (a completed producer has appended already).
             producer.consumers.append((dyn, ROLE_ACC))
 
         for operand, role in ((uop.src_a, ROLE_A), (uop.src_b, ROLE_B)):
@@ -546,22 +553,21 @@ class PipelineSimulator:
         """ELM ready: the µop enters the combination window."""
         dyn.active = True
         dyn.activate_cycle = self.cycle
+        dyn.out = np.zeros(FP32_LANES, dtype=np.float32)
         if self.obs is not None:
             self._note_activation(dyn)
         if dyn.elm == 0:
             self.skipped_fmas += 1
-        if self.scheme == CoalescingScheme.NAIVE:
+        if self._naive:
             # Strawman: no cross-instruction combining.  BS-skipped µops
             # pass through; anything else issues as a whole VFMA.
-            if dyn.elm == 0:
-                self._dispatch_all_lanes(dyn)
-            else:
+            if dyn.elm:
                 self._try_queue_naive(dyn)
-            return
-        if dyn.mixed and self.mp_technique:
+                return
+        elif dyn.mixed and self.mp_technique:
             self._try_append_chain(dyn)
             return
-        self._dispatch_all_lanes(dyn)
+        self._dispatch_lanes(dyn, dyn.full_mask)
 
     def _try_queue_naive(self, dyn: DynUop) -> None:
         """Queue a whole VFMA in the strawman scheme (vector-wise deps)."""
@@ -570,62 +576,90 @@ class PipelineSimulator:
         if not dyn.acc_fully_available():
             return
         dyn.baseline_queued = True
-        self.effectual_lanes += bin(dyn.elm).count("1")
-        self.pass_through_lanes += FP32_LANES - bin(dyn.elm).count("1")
+        self.effectual_lanes += popcount(dyn.elm)
+        self.pass_through_lanes += FP32_LANES - popcount(dyn.elm)
         self._cw_enter(dyn)
         self.baseline_sched.insert(dyn.seq, dyn)
 
-    def _dispatch_all_lanes(self, dyn: DynUop) -> None:
-        try_dispatch = self._try_dispatch_lane
-        for lane in range(FP32_LANES):
-            try_dispatch(dyn, lane)
+    def _dispatch_lanes(self, dyn: DynUop, mask: int) -> None:
+        """Dispatch the ready lanes of ``mask``.
 
-    def _try_dispatch_lane(self, dyn: DynUop, lane: int) -> None:
-        """Dispatch one lane: pass-through or queue for a VPU slot."""
-        bit = 1 << lane
-        if dyn.lanes_dispatched_mask & bit or not dyn.active:
+        Effectual lanes queue for a VPU slot, iterating set bits only;
+        the rest pass through as one mask update with one wake-up.
+        """
+        mask &= ~dyn.lanes_dispatched_mask
+        if not mask or not dyn.active:
             return
         if self._naive and dyn.elm:
             # Strawman: non-skipped µops issue whole, never lane-wise.
             return
         mixed_mp = dyn.mixed and self.mp_technique
-        # Only pass-through lanes reach here in MP-technique mode.
-        if mixed_mp and dyn.ml_effectual[lane]:
-            return
+        if mixed_mp:
+            # Effectual lanes dispatch through the accumulator chain.
+            mask &= ~dyn.elm
         if self.lwd or mixed_mp:
-            if not dyn.acc_lane_available(lane):
-                # LWD lane-order stall: the lane attempted dispatch but
-                # its accumulator input lane has not completed yet.
+            src = dyn.acc_src
+            blocked = 0 if src is None else mask & ~src.lanes_done_mask
+            if blocked:
+                # LWD lane-order stall: these lanes attempted dispatch
+                # but their accumulator input lanes have not completed.
+                mask ^= blocked
                 if self.obs is not None:
-                    self.obs.metrics.counter("lwd_stalls").inc()
-                    if self._tracing:
-                        self.obs.emit(
-                            self.cycle, "lwd_stall", seq=dyn.seq, lane=lane
-                        )
-                return
+                    self._note_lwd_stalls(dyn, blocked)
         elif not dyn.acc_fully_available():
             return
-
-        dyn.lanes_dispatched_mask |= bit
-        if dyn.elm & bit and not mixed_mp:
-            self.effectual_lanes += 1
-            dyn.queued_lanes += 1
+        if not mask:
+            return
+        dyn.lanes_dispatched_mask |= mask
+        effectual = 0 if mixed_mp else mask & dyn.elm
+        if effectual:
+            self.effectual_lanes += popcount(effectual)
+            dyn.queued_lanes += popcount(effectual)
             self._cw_enter(dyn)
             if self._horizontal:
-                self.horizontal_sched.insert(dyn.seq, (dyn, lane))
+                insert = self.horizontal_sched.insert
+                for lane in lanes_of(effectual):
+                    insert(dyn.seq, (dyn, lane))
             else:
-                slot = slot_for_lane(lane, dyn.rotation)
-                self.slot_sched.insert(slot, dyn.seq, (dyn, lane))
-        else:
-            # Ineffectual (or masked) lane: the accumulator value passes
+                insert = self.slot_sched.insert
+                for lane in lanes_of(effectual):
+                    insert(slot_for_lane(lane, dyn.rotation), dyn.seq, (dyn, lane))
+        passed = mask ^ effectual
+        if passed:
+            # Ineffectual (or masked) lanes: the accumulator value passes
             # through unchanged, with no VPU work.
-            self.pass_through_lanes += 1
-            value = dyn.acc_lane_value(lane)
-            completed = dyn.mark_lane_done(lane, value)
-            self._worklist.append(("lane", dyn, lane))
-            if completed:
-                self._worklist.append(("full", dyn, -1))
+            self.pass_through_lanes += popcount(passed)
+            acc = dyn.acc_init if dyn.acc_src is None else dyn.acc_src.out
+            out = dyn.out
+            for lane in lanes_of(passed):
+                out[lane] = acc[lane]
+            self._lanes_done(dyn, passed)
         self._maybe_free_rs(dyn)
+
+    def _lanes_done(self, dyn: DynUop, mask: int) -> bool:
+        """Lanes of ``dyn`` finished: queue their wake-up.
+
+        A wake-up merges into the worklist's last entry when that entry
+        is the same producer's and every new lane lies above its lanes.
+        Every FMA has ``dst == accum``, so a producer has one accumulator
+        consumer at most, and draining the merged entry dispatches that
+        consumer's lanes in the order the two entries would have.  An
+        out-of-order merge would reorder HC's insertion ties.  Returns
+        True if the µop just completed; its ``full`` entry follows.
+        """
+        worklist = self._worklist
+        if worklist:
+            kind, last, lanes = worklist[-1]
+            if last is dyn and kind == "lanes" and (mask & -mask) > lanes:
+                worklist[-1] = ("lanes", dyn, lanes | mask)
+            else:
+                worklist.append(("lanes", dyn, mask))
+        else:
+            worklist.append(("lanes", dyn, mask))
+        if dyn.mark_lanes_done(mask):
+            worklist.append(("full", dyn, 0))
+            return True
+        return False
 
     def _cw_enter(self, dyn: DynUop) -> None:
         if not dyn.in_cw:
@@ -652,9 +686,9 @@ class PipelineSimulator:
         prev = dyn.acc_src
         if prev is not None and prev.is_fma and prev.mixed:
             dyn.chain_root = self._chain_root_of(prev)
-        else:
-            dyn.chain_root = dyn
-        return dyn.chain_root
+            return dyn.chain_root
+        # A root does not cache itself: no self-reference to collect.
+        return dyn
 
     def _try_append_chain(self, dyn: DynUop) -> None:
         """Append an active µop's MLs to its accumulator chain.
@@ -669,34 +703,35 @@ class PipelineSimulator:
             return
         dyn.appended = True
         root = self._chain_root_of(dyn)
-        dyn.ml_remaining = [len(mls) for mls in dyn.ml_effectual]
-        for lane in range(FP32_LANES):
-            mls = dyn.ml_effectual[lane]
-            if not mls:
-                self._try_dispatch_lane(dyn, lane)
-                continue
-            dyn.mark_lane_dispatched(lane)
+        # Lanes without effectual MLs pass their accumulator through.
+        self._dispatch_lanes(dyn, dyn.full_mask)
+        if dyn.elm:
+            dyn.lanes_dispatched_mask |= dyn.elm
             self._cw_enter(dyn)
-            self.effectual_lanes += len(mls)
-            slot = slot_for_lane(lane, rotation_offset(
-                root.uop.accum, self.config.save.rotation_states
-            ) if self.scheme == CoalescingScheme.ROTATE_VERTICAL else 0)
-            chain = self.chains.lane(root, lane, slot)
-            for p in mls:
-                chain.append(dyn, p)
-            self.chains.mls_appended += len(mls)
-            if self._tracing:
-                self.obs.emit(
-                    self.cycle,
-                    "chain_append",
-                    seq=dyn.seq,
-                    root=root.seq,
-                    lane=lane,
-                    mls=list(mls),
-                )
-            if chain.acc_value is None and root.acc_lane_available(lane):
-                chain.acc_value = root.acc_lane_value(lane)
-            self._enqueue_chain_if_ready(chain)
+            mls = popcount(dyn.ml0) + popcount(dyn.ml1)
+            self.effectual_lanes += mls
+            self.chains.mls_appended += mls
+            rotation = 0
+            if self.scheme == CoalescingScheme.ROTATE_VERTICAL:
+                rotation = rotation_offset(root.uop.accum, self.config.save.rotation_states)
+            for lane in lanes_of(dyn.elm):
+                chain = self.chains.lane(root, lane, slot_for_lane(lane, rotation))
+                pair = (dyn.ml0 >> lane & 1) | (dyn.ml1 >> lane & 1) << 1
+                dyn.ml_pending |= pair << (2 * lane)
+                for p in _ML_PAIRS[pair]:
+                    chain.append(dyn, p)
+                if self._tracing:
+                    self.obs.emit(
+                        self.cycle,
+                        "chain_append",
+                        seq=dyn.seq,
+                        root=root.seq,
+                        lane=lane,
+                        mls=list(_ML_PAIRS[pair]),
+                    )
+                if chain.acc_value is None and root.acc_lane_available(lane):
+                    chain.acc_value = root.acc_lane_value(lane)
+                self._enqueue_chain_if_ready(chain)
         self._maybe_free_rs(dyn)
         # Unblock chain successors waiting on append order.
         for consumer, role in dyn.consumers:
@@ -769,14 +804,12 @@ class PipelineSimulator:
         if not self.slot_sched.pending():
             return
         ops = [TempOp(TempOpKind.LANES, cycle, 0) for _ in range(num_vpus)]
-        any_filled = False
         pop_oldest = self.slot_sched.pop_oldest
-        for slot in range(FP32_LANES):
+        for slot in lanes_of(self.slot_sched.occupied):
             for op in ops:
                 item = pop_oldest(slot)
                 if item is None:
                     break
-                any_filled = True
                 if isinstance(item, ChainLane):
                     item.enqueued = False
                     item.busy = True
@@ -786,8 +819,6 @@ class PipelineSimulator:
                 else:
                     op.lane_entries.append(item)
                     self._cw_pop_lane(item[0])
-        if not any_filled:
-            return
         for op in ops:
             if op.is_empty():
                 continue
@@ -829,6 +860,13 @@ class PipelineSimulator:
             if dyn.elm == 0:
                 self.obs.emit(self.cycle, "bs_skip", seq=dyn.seq)
 
+    def _note_lwd_stalls(self, dyn: DynUop, blocked: int) -> None:
+        """LWD lane-order stalls, one per blocked lane."""
+        self.obs.metrics.counter("lwd_stalls").inc(popcount(blocked))
+        if self._tracing:
+            for lane in lanes_of(blocked):
+                self.obs.emit(self.cycle, "lwd_stall", seq=dyn.seq, lane=lane)
+
     def _note_issue(self, op: TempOp) -> None:
         """VPU op issued: lane-occupancy distribution plus merge detail."""
         m = self.obs.metrics
@@ -854,7 +892,7 @@ class PipelineSimulator:
         for chain, mls, _acc in op.chain_entries:
             entries.append(
                 {
-                    "root": chain.root.seq,
+                    "root": chain.root_seq,
                     "lane": chain.lane,
                     "slot": chain.slot,
                     "mls": [[dyn.seq, p] for dyn, p in mls],
@@ -912,7 +950,7 @@ class PipelineSimulator:
             self.rs_count -= 1
             dyn.rs_freed = True
             dyn.set_output(value)
-            self._worklist.append(("full", dyn, -1))
+            self._worklist.append(("full", dyn, 0))
             return
         # Embedded memory operand of an FMA.
         value = self.lsu.resolve_value(request.operand)
@@ -923,27 +961,25 @@ class PipelineSimulator:
         if op.kind == TempOpKind.WHOLE:
             dyn = op.whole
             dyn.set_output(compute_whole(dyn))
-            self._worklist.append(("full", dyn, -1))
+            self._worklist.append(("full", dyn, 0))
             return
         for dyn, lane in op.lane_entries:
-            value = compute_lane(dyn, lane)
-            completed = dyn.mark_lane_done(lane, value)
-            self._worklist.append(("lane", dyn, lane))
-            if completed:
-                self._worklist.append(("full", dyn, -1))
-        # CHAIN: mixed-precision ML slots.
-        for chain, mls, acc_base in op.chain_entries:
-            final, partials = compute_chain_slot(mls, chain.lane, acc_base)
-            chain.acc_value = final
-            chain.busy = False
-            for dyn, _p, partial in partials:
-                dyn.ml_remaining[chain.lane] -= 1
-                if dyn.ml_remaining[chain.lane] == 0:
-                    completed = dyn.mark_lane_done(chain.lane, partial)
-                    self._worklist.append(("lane", dyn, chain.lane))
-                    if completed:
+            dyn.out[lane] = compute_lane(dyn, lane)
+            self._lanes_done(dyn, 1 << lane)
+        # CHAIN: mixed-precision ML slots, up to two MLs each in program
+        # order (Fig. 11); the partial after an instruction's last ML of
+        # the lane is its result, and the final one is forwarded.
+        for chain, mls, value in op.chain_entries:
+            lane = chain.lane
+            for dyn, p in mls:
+                value = value + dyn.prod[2 * lane + p]
+                dyn.ml_pending &= ~(1 << (2 * lane + p))
+                if not dyn.ml_pending >> (2 * lane) & 3:
+                    dyn.out[lane] = value
+                    if self._lanes_done(dyn, 1 << lane):
                         self._cw_leave(dyn)
-                        self._worklist.append(("full", dyn, -1))
+            chain.acc_value = value
+            chain.busy = False
             self._enqueue_chain_if_ready(chain)
 
     # ------------------------------------------------------------------
@@ -951,34 +987,34 @@ class PipelineSimulator:
     # ------------------------------------------------------------------
 
     def _drain_worklist(self) -> None:
-        while self._worklist:
-            kind, dyn, lane = self._worklist.popleft()
-            if kind == "lane":
-                self._on_lane_completion(dyn, lane)
+        worklist = self._worklist
+        while worklist:
+            kind, dyn, mask = worklist.popleft()
+            if kind == "lanes":
+                self._on_lanes_completion(dyn, mask)
             else:
                 self._on_full_completion(dyn)
 
-    def _on_lane_completion(self, producer: DynUop, lane: int) -> None:
+    def _on_lanes_completion(self, producer: DynUop, mask: int) -> None:
         for consumer, role in producer.consumers:
             if role != ROLE_ACC:
                 continue
             if consumer.mixed and self.mp_technique:
-                self._chain_acc_arrival(consumer, lane)
-                self._try_dispatch_lane(consumer, lane)
+                self._chain_acc_arrival(consumer, mask)
+                self._dispatch_lanes(consumer, mask)
             elif self.lwd and consumer.active:
-                self._try_dispatch_lane(consumer, lane)
+                self._dispatch_lanes(consumer, mask)
 
-    def _chain_acc_arrival(self, consumer: DynUop, lane: int) -> None:
-        """A chain root's accumulator input lane became available."""
-        if not consumer.appended:
+    def _chain_acc_arrival(self, consumer: DynUop, mask: int) -> None:
+        """A chain root's accumulator input lanes became available."""
+        chains = consumer.chain_lanes  # set on chain roots only
+        if chains is None:
             return
-        root = self._chain_root_of(consumer)
-        if root is not consumer:
-            return
-        chain = self.chains.existing_lane(root, lane)
-        if chain is not None and chain.acc_value is None:
-            chain.acc_value = root.acc_lane_value(lane)
-            self._enqueue_chain_if_ready(chain)
+        for lane in lanes_of(mask):
+            chain = chains[lane]
+            if chain is not None and chain.acc_value is None:
+                chain.acc_value = consumer.acc_lane_value(lane)
+                self._enqueue_chain_if_ready(chain)
 
     def _on_full_completion(self, producer: DynUop) -> None:
         producer.complete_cycle = self.cycle
@@ -999,19 +1035,18 @@ class PipelineSimulator:
             elif role == ROLE_ACC:
                 if not self.save_enabled:
                     self._check_fma_progress(consumer)
-                elif self.scheme == CoalescingScheme.NAIVE:
+                elif self._naive:
                     if consumer.active:
                         if consumer.elm == 0:
-                            self._dispatch_all_lanes(consumer)
+                            self._dispatch_lanes(consumer, consumer.full_mask)
                         else:
                             self._try_queue_naive(consumer)
                 elif consumer.mixed and self.mp_technique:
                     if consumer.appended:
-                        for lane in range(FP32_LANES):
-                            self._chain_acc_arrival(consumer, lane)
-                            self._try_dispatch_lane(consumer, lane)
+                        self._chain_acc_arrival(consumer, consumer.full_mask)
+                        self._dispatch_lanes(consumer, consumer.full_mask)
                 elif consumer.active:
-                    self._dispatch_all_lanes(consumer)
+                    self._dispatch_lanes(consumer, consumer.full_mask)
 
     # ------------------------------------------------------------------
     # Retire
@@ -1024,6 +1059,9 @@ class PipelineSimulator:
         while budget > 0 and rob and rob[0].completed:
             dyn = rob.popleft()
             dyn.retired = True
+            # Every wake-up is drained by now; dropping the links lets
+            # refcounting free retired µops instead of the cycle GC.
+            dyn.consumers.clear()
             self.prf.on_retire(dyn)
             if obs is not None:
                 self._note_retire(dyn)

@@ -5,6 +5,11 @@ and the write-mask bit (if any) is set.  For mixed-precision VFMAs the
 mask is per *accumulator lane*: an AL is effectual iff at least one of
 its two multiplicand-lane pairs is effectual (Sec. V).
 
+The paper's rule tests for non-zero only.  A lane whose multiplicand is
+inf or NaN is also effectual here: ``0 * inf`` is NaN, so skipping it
+would break software transparency.  For finite operands the two rules
+agree.
+
 MGUs are simple and replicated to match the issue width, so their
 throughput is never the bottleneck — but we model the per-cycle budget
 anyway so the claim is checkable (and ablatable).
@@ -13,48 +18,46 @@ anyway so the claim is checkable (and ablatable).
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
+import numpy as np
 
 from repro.core.dynuop import DynUop
-from repro.isa.datatypes import FP32_LANES
+
+#: Weights packing 16 per-lane booleans into a lane mask.
+_LANE_WEIGHTS = 1 << np.arange(16, dtype=np.int64)
+#: Columns pack a mixed µop's 32 ML booleans into the ML 0 / ML 1 masks.
+_ML_WEIGHTS = np.zeros((32, 2), dtype=np.int64)
+_ML_WEIGHTS[0::2, 0] = _LANE_WEIGHTS
+_ML_WEIGHTS[1::2, 1] = _LANE_WEIGHTS
 
 
-def compute_elm(dyn: DynUop) -> tuple[int, Optional[list[tuple[int, ...]]]]:
-    """Compute the ELM (and per-AL effectual-ML lists for mixed).
+def compute_elm(dyn: DynUop) -> tuple[int, int, int, np.ndarray]:
+    """Compute the ELM with one vectorised compare over the µop's lanes.
 
     Requires the µop's multiplicands and write mask to be resolved.
 
     Returns:
-        ``(elm_bits, ml_effectual)`` where ``elm_bits`` has one bit per
-        accumulator lane and ``ml_effectual`` (mixed only) lists, per
-        accumulator lane, the effectual multiplicand-lane indices
-        (subset of ``(0, 1)``) — empty for write-masked lanes.
+        ``(elm, ml0, ml1, prod)``: ``elm`` has one bit per accumulator
+        lane; for mixed µops ``ml0`` / ``ml1`` hold the accumulator
+        lanes whose multiplicand lane 0 / 1 is effectual (both 0 for
+        FP32); ``prod`` is the float32 product vector ``a * b`` the VPU
+        accumulates.  Write-masked lanes are clear in every mask.
     """
     if not dyn.multiplicands_ready():
         raise RuntimeError("ELM requested before multiplicands resolved")
     a = dyn.a_value
     b = dyn.b_value
+    prod = a * b
+    # Both non-zero, or a non-finite operand: a zero lane's product is
+    # NaN exactly when the other operand is inf or NaN.
+    effectual = np.logical_and(a, b) | np.isnan(prod)
     wm = dyn.write_mask()
-    elm = 0
     if not dyn.mixed:
-        for lane in range(FP32_LANES):
-            if wm & (1 << lane) and a[lane] != 0 and b[lane] != 0:
-                elm |= 1 << lane
-        return elm, None
-
-    ml_effectual: list[tuple[int, ...]] = []
-    for lane in range(FP32_LANES):
-        if not wm & (1 << lane):
-            ml_effectual.append(())
-            continue
-        effectual = tuple(
-            p for p in (0, 1) if a[2 * lane + p] != 0 and b[2 * lane + p] != 0
-        )
-        ml_effectual.append(effectual)
-        if effectual:
-            elm |= 1 << lane
-    return elm, ml_effectual
+        return int(effectual @ _LANE_WEIGHTS) & wm, 0, 0, prod
+    ml0, ml1 = (effectual @ _ML_WEIGHTS).tolist()
+    ml0 &= wm
+    ml1 &= wm
+    return ml0 | ml1, ml0, ml1, prod
 
 
 class MguStage:
@@ -81,7 +84,7 @@ class MguStage:
         activated: list[DynUop] = []
         for _ in range(min(self.mgus_per_cycle, len(self._queue))):
             dyn = self._queue.popleft()
-            dyn.elm, dyn.ml_effectual = compute_elm(dyn)
+            dyn.elm, dyn.ml0, dyn.ml1, dyn.prod = compute_elm(dyn)
             self.processed += 1
             activated.append(dyn)
         return activated

@@ -31,7 +31,9 @@ class ChainLane:
     """Pending-ML queue and forwarding state for one (chain, lane)."""
 
     def __init__(self, root: DynUop, lane: int, slot: int) -> None:
-        self.root = root
+        #: The chain root's sequence number (not the root itself, which
+        #: holds this record: no reference cycle).
+        self.root_seq = root.seq
         self.lane = lane
         self.slot = slot
         self.queue: deque[MlRef] = deque()
@@ -63,46 +65,21 @@ class ChainLane:
 
 
 class ChainManager:
-    """All live accumulator chains of a mixed-precision kernel."""
+    """Creates accumulator-chain lanes; each root keeps its own 16."""
 
     def __init__(self) -> None:
-        self._chains: dict[tuple[int, int], ChainLane] = {}
         #: Chain-lane records ever created (observability).
         self.created = 0
         #: Effectual MLs appended across all chain lanes (observability).
         self.mls_appended = 0
 
-    @staticmethod
-    def chain_root(dyn: DynUop) -> DynUop:
-        """The first µop of the accumulator chain containing ``dyn``.
-
-        A chain extends through consecutive mixed FMAs linked by their
-        accumulator source; it starts at a µop whose accumulator comes
-        from a non-FMA producer (or the initial register value).
-        """
-        root = dyn
-        while (
-            root.acc_src is not None
-            and root.acc_src.is_fma
-            and root.acc_src.mixed
-        ):
-            root = root.acc_src
-        return root
-
     def lane(self, root: DynUop, lane: int, slot: int) -> ChainLane:
         """Get or create the chain-lane record."""
-        key = (root.seq, lane)
-        chain = self._chains.get(key)
+        lanes = root.chain_lanes
+        if lanes is None:
+            lanes = root.chain_lanes = [None] * 16
+        chain = lanes[lane]
         if chain is None:
-            chain = ChainLane(root, lane, slot)
-            self._chains[key] = chain
+            chain = lanes[lane] = ChainLane(root, lane, slot)
             self.created += 1
         return chain
-
-    def existing_lane(self, root: DynUop, lane: int) -> Optional[ChainLane]:
-        """Look up a chain-lane without creating it."""
-        return self._chains.get((root.seq, lane))
-
-    def all_lanes(self) -> list[ChainLane]:
-        """All chain lanes (diagnostics/tests)."""
-        return list(self._chains.values())

@@ -31,6 +31,8 @@ class SlotScheduler:
         self._heaps: list[list[tuple[int, int, Any]]] = [[] for _ in range(slots)]
         self._tiebreak = 0
         self._pending = 0
+        #: Bit ``s`` is set while slot ``s`` has queued items.
+        self.occupied = 0
         #: Peak total queue depth over the run (observability).
         self.peak_pending = 0
 
@@ -41,6 +43,7 @@ class SlotScheduler:
         if self._pending > self.peak_pending:
             self.peak_pending = self._pending
         heapq.heappush(self._heaps[slot], (seq, self._tiebreak, item))
+        self.occupied |= 1 << slot
 
     def pop_oldest(self, slot: int) -> Optional[Any]:
         """Remove and return the oldest pending item at ``slot``."""
@@ -48,7 +51,10 @@ class SlotScheduler:
         if not heap:
             return None
         self._pending -= 1
-        return heapq.heappop(heap)[2]
+        item = heapq.heappop(heap)[2]
+        if not heap:
+            self.occupied &= ~(1 << slot)
+        return item
 
     def pending(self) -> int:
         """Total queued items across all slots (O(1))."""

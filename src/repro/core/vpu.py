@@ -5,9 +5,11 @@ A :class:`TempOp` is one issued VPU operation — either a whole VFMA
 rotate-vertical / horizontal), or a mixed-precision chain op processing
 up to two MLs per accumulator-lane slot.
 
-Result computation uses the same :func:`repro.isa.semantics.mac`
-primitive as the reference executor, so SAVE schedules that preserve
-per-lane program order produce bit-identical architectural results.
+Results are formed as :func:`repro.isa.semantics.mac` forms them: a
+float32 product, then a float32 add, two roundings.  The products are
+one elementwise ``a * b`` per µop, the same IEEE float32 multiply per
+element, so SAVE schedules that preserve per-lane program order produce
+bit-identical architectural results.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ from enum import Enum, auto
 
 import numpy as np
 
-from repro.core.dynuop import DynUop
+from repro.core.dynuop import DynUop, lanes_of
 from repro.core.save.mixed import ChainLane, MlRef
 from repro.isa.datatypes import FP32_LANES
-from repro.isa.semantics import mac
 
 
 class TempOpKind(Enum):
@@ -99,20 +100,14 @@ class TempOp:
 
 def compute_whole(dyn: DynUop) -> np.ndarray:
     """Architectural result of a whole VFMA (baseline issue)."""
-    wm = dyn.write_mask()
-    out = np.zeros(FP32_LANES, dtype=np.float32)
-    for lane in range(FP32_LANES):
-        acc = dyn.acc_lane_value(lane)
-        if not wm & (1 << lane):
-            out[lane] = acc
-            continue
-        if dyn.mixed:
-            value = acc
-            value = mac(value, dyn.a_value[2 * lane], dyn.b_value[2 * lane])
-            value = mac(value, dyn.a_value[2 * lane + 1], dyn.b_value[2 * lane + 1])
-            out[lane] = value
-        else:
-            out[lane] = mac(acc, dyn.a_value[lane], dyn.b_value[lane])
+    acc = dyn.acc_init if dyn.acc_src is None else dyn.acc_src.out
+    prod = dyn.a_value * dyn.b_value
+    if dyn.mixed:
+        out = acc + prod[0::2] + prod[1::2]
+    else:
+        out = acc + prod
+    for lane in lanes_of(~dyn.write_mask() & dyn.full_mask):
+        out[lane] = acc[lane]
     return out
 
 
@@ -124,32 +119,11 @@ def compute_lane(dyn: DynUop, lane: int) -> np.float32:
     because their product is a true zero.
     """
     acc = dyn.acc_lane_value(lane)
+    prod = dyn.prod
     if not dyn.mixed:
-        return mac(acc, dyn.a_value[lane], dyn.b_value[lane])
-    value = acc
-    for p in dyn.ml_effectual[lane]:
-        value = mac(value, dyn.a_value[2 * lane + p], dyn.b_value[2 * lane + p])
-    return value
-
-
-def compute_chain_slot(
-    mls: list[MlRef], lane: int, acc_base: np.float32
-) -> tuple[np.float32, list[tuple[DynUop, int, np.float32]]]:
-    """Process up to two MLs of one chain slot (Fig. 11 semantics).
-
-    Args:
-        mls: ``(µop, p)`` pairs where ``p`` selects the ML within the
-            accumulator lane, in program order.
-        lane: the accumulator lane this chain slot belongs to.
-        acc_base: accumulation base (forwarded partial or chain start).
-
-    Returns the final partial value (forwarded to the next chain op)
-    and, per ML, the partial value *after* that ML — the value written
-    back if the ML is its instruction's last (Sec. V-B).
-    """
-    value = np.float32(acc_base)
-    partials: list[tuple[DynUop, int, np.float32]] = []
-    for dyn, p in mls:
-        value = mac(value, dyn.a_value[2 * lane + p], dyn.b_value[2 * lane + p])
-        partials.append((dyn, p, value))
-    return value, partials
+        return acc + prod[lane]
+    if dyn.ml0 >> lane & 1:
+        acc = acc + prod[2 * lane]
+    if dyn.ml1 >> lane & 1:
+        acc = acc + prod[2 * lane + 1]
+    return acc

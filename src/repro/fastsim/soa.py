@@ -5,11 +5,12 @@ engine needs from that stream is a handful of dense numpy tensors:
 
 * the non-zero masks of the two input matrices (``a_nz``, ``b_nz``),
 * the per-(step, row, column-vector, lane) **effectual tensor** — the
-  vectorised Effectual Lane Mask of every VFMA in the trace, computed
-  with exactly the semantics of :func:`repro.core.save.elm.compute_elm`
-  (a lane is effectual iff both multiplicand elements are non-zero;
-  mixed precision is per accumulator lane over its two multiplicand
-  pairs),
+  vectorised Effectual Lane Mask of every VFMA in the trace (a lane is
+  effectual iff both multiplicand elements are non-zero; mixed
+  precision is per accumulator lane over its two multiplicand pairs).
+  :func:`repro.core.save.elm.compute_elm` also counts a lane with a
+  non-finite multiplicand as effectual; these masks come from finite
+  draws, where the two rules agree,
 * per-µop-class counts (loads, broadcasts, kmovs, FMAs, scalar
   overhead) for front-end accounting.
 

@@ -84,6 +84,16 @@ class Memory:
         """Return a copy of the backing store (for state comparison)."""
         return dict(self._data)
 
+    def copy(self) -> Memory:
+        """An independent copy of this memory.
+
+        Every writer stores float32-exact values, so copying the store
+        is the same as re-writing each element.
+        """
+        clone = Memory()
+        clone._data = dict(self._data)
+        return clone
+
     def __len__(self) -> int:
         return len(self._data)
 

@@ -40,22 +40,33 @@ class TransparencyReport:
 
 
 def compare_states(reference: ArchState, state: ArchState) -> list[str]:
-    """List every register/memory divergence between two states."""
+    """List every register/memory divergence between two states.
+
+    Values compare as float32 bit patterns, so a NaN equals only the
+    same NaN and -0.0 differs from 0.0.
+    """
     mismatches: list[str] = []
     for reg in range(32):
         ref_val = reference.read_vreg(reg)
         got = state.read_vreg(reg)
-        if ref_val.shape != got.shape or not np.array_equal(ref_val, got):
+        if ref_val.shape != got.shape or not np.array_equal(_bits(ref_val), _bits(got)):
             mismatches.append(f"zmm{reg}")
     for kreg in range(8):
         if reference.read_kreg(kreg) != state.read_kreg(kreg):
             mismatches.append(f"k{kreg}")
     ref_mem = reference.memory.snapshot()
     sim_mem = state.memory.snapshot()
-    for addr in sorted(set(ref_mem) | set(sim_mem)):
-        if np.float32(ref_mem.get(addr, 0.0)) != np.float32(sim_mem.get(addr, 0.0)):
-            mismatches.append(f"mem[0x{addr:x}]")
+    addrs = sorted(set(ref_mem) | set(sim_mem))
+    ref_bits = _bits([ref_mem.get(addr, 0.0) for addr in addrs])
+    sim_bits = _bits([sim_mem.get(addr, 0.0) for addr in addrs])
+    for index in np.flatnonzero(ref_bits != sim_bits):
+        mismatches.append(f"mem[0x{addrs[index]:x}]")
     return mismatches
+
+
+def _bits(values) -> np.ndarray:
+    """Float32 bit patterns of ``values``."""
+    return np.asarray(values, dtype=np.float32).view(np.uint32)
 
 
 def check_transparency(

@@ -5,7 +5,7 @@ produce; this fuzzer generates random-but-valid µop traces (loads,
 broadcasts, stores, mask writes, FP32 and mixed FMAs with random
 register dependences and random sparse data) and asserts that every
 SAVE configuration still reproduces the in-order reference state
-value-for-value.
+bit-for-bit.
 """
 
 import random
@@ -30,6 +30,7 @@ from repro.isa.uops import (
     vzero,
 )
 from repro.kernels.trace import KernelTrace, count_uops
+from repro.validate import compare_states
 
 FP32_BASE = 0x1000
 BF16_BASE = 0x9000
@@ -121,19 +122,9 @@ def random_trace(seed: int, length: int = 140) -> KernelTrace:
 
 
 def assert_transparent(trace: KernelTrace, machine) -> None:
-    reference = trace.reference_result()
     result = simulate(trace, machine, warm_level=None)
-    state = result.final_state
-    for reg in range(32):
-        assert np.array_equal(
-            reference.read_vreg(reg), state.read_vreg(reg)
-        ), f"zmm{reg} diverged"
-    for kreg in range(8):
-        assert reference.read_kreg(kreg) == state.read_kreg(kreg)
-    ref_mem = reference.memory.snapshot()
-    sim_mem = state.memory.snapshot()
-    for addr in set(ref_mem) | set(sim_mem):
-        assert np.float32(ref_mem.get(addr, 0.0)) == np.float32(sim_mem.get(addr, 0.0))
+    mismatches = compare_states(trace.reference_result(), result.final_state)
+    assert not mismatches, f"{trace.name} diverged: {mismatches[:8]}"
 
 
 MACHINES = [
@@ -176,6 +167,49 @@ class TestFuzzTransparency:
     @pytest.mark.parametrize("seed", range(6, 14))
     def test_more_seeds_default_config(self, seed):
         assert_transparent(random_trace(seed), SAVE_2VPU)
+
+
+def zero_times_inf_trace() -> KernelTrace:
+    """``z0 += bcast(0.0) * z1`` where lane 3 of ``z1`` is inf: 0 * inf is NaN."""
+    memory = Memory()
+    values = [1.0] * FP32_LANES
+    values[3] = float("inf")
+    for lane, value in enumerate(values):
+        memory.write(FP32_BASE + 4 * lane, value)
+    memory.write(FP32_BASE + 0x100, 0.0)
+    uops = [
+        vzero(0),
+        vload(1, FP32_BASE),
+        vfma(0, MemOperand(FP32_BASE + 0x100, broadcast=True), RegOperand(1)),
+        vstore(0, STORE_BASE),
+    ]
+    return KernelTrace(
+        name="zero-times-inf",
+        uops=uops,
+        memory=memory,
+        regions={},
+        stats=count_uops(uops),
+        meta={},
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteTransparency:
+    """A non-finite multiplicand makes its lane effectual (0 * inf is NaN)."""
+
+    def test_zero_times_inf_reaches_nan(self):
+        state = zero_times_inf_trace().reference_result()
+        assert np.isnan(state.read_vreg(0)[3])
+        assert not np.isnan(state.read_vreg(0)[2])
+
+    @pytest.mark.parametrize("machine", MACHINES)
+    def test_zero_times_inf(self, machine):
+        assert_transparent(zero_times_inf_trace(), machine)
+
+    @pytest.mark.parametrize("machine", MACHINES)
+    def test_overflowing_random_trace(self, machine):
+        # This trace overflows to inf and then multiplies it by zero.
+        assert_transparent(random_trace(35, length=200), machine)
 
 
 def random_machine(seed: int):

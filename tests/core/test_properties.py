@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dynuop import DynUop
+from repro.core.dynuop import DynUop, lanes_of, popcount
 from repro.core.save.mixed import ChainLane
 from repro.core.save.rotate import rotation_offset, slot_for_lane
 from repro.core.save.window import HorizontalScheduler, SlotScheduler
@@ -43,6 +43,20 @@ class TestSlotSchedulerProperties:
                 total += 1
         assert total == len(items)
         assert sched.pending() == 0
+        assert sched.occupied == 0
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 15)), max_size=60),
+        st.lists(st.integers(0, 15), max_size=40),
+    )
+    def test_occupied_mask_tracks_nonempty_slots(self, items, pops):
+        sched = SlotScheduler()
+        for seq, slot in items:
+            sched.insert(slot, seq, (seq, slot))
+        for slot in pops:
+            sched.pop_oldest(slot)
+        occupancy = sched.slot_occupancy()
+        assert sched.occupied == sum(1 << s for s in range(16) if occupancy[s])
 
     @given(st.lists(st.integers(0, 10_000), max_size=80))
     def test_horizontal_global_order(self, seqs):
@@ -117,7 +131,7 @@ class TestDynUopProperties:
         dyn.acc_init = np.zeros(16, dtype=np.float32)
         lanes = [l for l in range(16) if mask & (1 << l)]
         for lane in lanes:
-            dyn.mark_lane_done(lane, np.float32(lane))
+            dyn.mark_lanes_done(1 << lane)
         assert dyn.lanes_done_mask == mask
         assert dyn.completed == (mask == 0xFFFF)
 
@@ -125,9 +139,16 @@ class TestDynUopProperties:
         dyn = DynUop(vfma(0, RegOperand(1), RegOperand(2)), 0)
         transitions = 0
         for lane in range(16):
-            if dyn.mark_lane_done(lane, np.float32(1.0)):
+            if dyn.mark_lanes_done(1 << lane):
                 transitions += 1
         assert transitions == 1
+        assert not dyn.mark_lanes_done(0xFFFF)
+
+    @given(st.integers(0, 0xFFFF))
+    def test_lane_mask_helpers(self, mask):
+        lanes = [lane for lane in range(16) if mask >> lane & 1]
+        assert lanes_of(mask) == tuple(lanes)
+        assert popcount(mask) == len(lanes)
 
 
 class TestExpectedMaxBinomialProperties:

@@ -130,3 +130,20 @@ class TestValidateApi:
         assert "zmm3" in mismatches
         assert "k1" in mismatches
         assert "mem[0x40]" in mismatches
+
+    def test_compare_states_is_bitwise(self):
+        from repro.isa.registers import ArchState
+        from repro.validate import compare_states
+
+        a = ArchState()
+        b = ArchState()
+        nan = np.full(16, np.nan, dtype=np.float32)
+        a.write_vreg(1, nan)
+        b.write_vreg(1, nan)
+        negative_zero = np.zeros(16, dtype=np.float32)
+        negative_zero[5] = -0.0
+        b.write_vreg(2, negative_zero)
+        a.memory.write(0x80, float("nan"))
+        b.memory.write(0x80, float("nan"))
+        b.memory.write(0xC0, -0.0)
+        assert compare_states(a, b) == ["zmm2", "mem[0xc0]"]

@@ -46,6 +46,27 @@ class TestMemory:
         mem.write(0, 2.0)
         assert snap[0] == 1.0
 
+    def test_copy_equals_image_and_is_independent(self):
+        mem = Memory()
+        mem.write_array(0x100, [0.1, -0.0, float("inf"), float("nan")], stride=4)
+        mem.write_array(0x200, [1.5, 0.3], stride=2, bf16=True)
+        clone = mem.copy()
+        rewritten = Memory()
+        for addr, value in mem.snapshot().items():
+            rewritten.write(addr, value)
+
+        def bits(memory):
+            return {
+                addr: np.float32(value).view(np.uint32)
+                for addr, value in memory.snapshot().items()
+            }
+
+        assert bits(clone) == bits(mem) == bits(rewritten)
+        clone.write(0x100, 9.0)
+        clone.write(0x300, 1.0)
+        assert mem.read(0x100) == np.float32(0.1)
+        assert 0x300 not in mem.snapshot()
+
     def test_len_counts_elements(self):
         mem = Memory()
         mem.write_array(0, range(10), stride=4)
